@@ -1,12 +1,14 @@
 """Quorum-replicated SLS cluster: N segment copies across simulated
 availability zones.
 
-The single :class:`~repro.core.replication.ReplicationLink` gives
-Aurora one standby; this module grows it into the cloud-Aurora
-durability story (SNIPPETS.md snippets 2–3): every committed
-checkpoint delta is sharded into segments
-(:mod:`repro.core.segments`), shipped to ``N`` replica nodes spread
-round-robin over ``azs`` availability zones, and acknowledged as
+Where :class:`~repro.core.replication.ReplicationLink` gives Aurora
+one standby, this module tells the cloud-Aurora durability story
+(SNIPPETS.md snippets 2–3): every committed checkpoint delta is
+sharded into segments (:mod:`repro.core.segments`), shipped to ``N``
+replica nodes spread round-robin over ``azs`` availability zones
+through one :class:`~repro.core.resilience.ReplicaLeg` each (the
+retry, outage and probe-cadence bookkeeping the standby uses too),
+and acknowledged as
 *durable* only once a **write quorum** (default 4 of 6) holds the
 complete delta on media.  Recovery and reads need only a **read
 quorum** (default 3 of 6): ``W + R > N`` guarantees every read quorum
@@ -39,8 +41,8 @@ the lease unexpired, and a fenced ex-primary drains into the
 ``STALE_PRIMARY`` degraded mode instead of diverging.  **Anti-entropy
 reconciliation** (:meth:`SLSCluster.reconcile`): on heal, a
 merkle-style digest exchange (:class:`~repro.core.segments.DigestTree`)
-fence-truncates superseded minority tails and feeds repair exactly
-the segments that differ.
+fence-truncates superseded minority tails and feeds repair's fill
+exactly the segments that differ.
 
 Durability is defined by *media*, not bookkeeping: a checkpoint is
 quorum-durable the instant the W-th node's apply commits.  Recovery
@@ -62,18 +64,18 @@ the quantity that actually bounds durability — lands in the
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..errors import ClusterError, LeaseValid, LinkDown, QuorumLost, \
-    RetriesExhausted, SLSError, StaleEpoch, StaleReplica
+    SLSError, StaleEpoch, StaleReplica
 from ..machine import Machine
 from ..units import MSEC, USEC, fmt_size
 from . import events, faults, migration, telemetry, tracing
-from .faults import FaultPlan
+from .faults import FaultPlan, InjectedNodeCrash
 from .group import ConsistencyGroup
 from .orchestrator import Orchestrator, load_aurora
-from .replication import ReplicationLink
-from .resilience import REASON_STALE_PRIMARY, PeerHealth, RetryPolicy
+from .resilience import REASON_STALE_PRIMARY, ReplicaLeg
 from .restore import RestoreResult
 from .segments import (DEFAULT_PROTECTION_GROUPS, DEFAULT_SEGMENT_BYTES,
                        DigestTree, ProtectionGroupLayout, ShardManifest,
@@ -118,10 +120,17 @@ EPOCH_MSG_BYTES = 128
 class ClusterNode:
     """One replica node: its own machine, store, and volatile caches."""
 
-    def __init__(self, node_id: int, az: int, group_id: int):
+    def __init__(self, node_id: int, az: int, group_id: int, clock: Any):
         self.node_id = node_id
         self.az = az
         self.group_id = group_id
+        #: The primary→node leg (retries, outages, probe cadence,
+        #: stream stats).  It belongs to the slot, so it outlives
+        #: reboots and wipes; a per-node seed keeps backoff jitter
+        #: independent across legs.
+        self.leg = ReplicaLeg(clock, seed=0x11A6 ^ group_id ^ (node_id << 8),
+                              op=f"cluster.ship.n{node_id}",
+                              group=group_id, node=node_id)
         self.machine = Machine()
         self.sls: Orchestrator = load_aurora(self.machine)
         self.down = False
@@ -214,144 +223,9 @@ class ClusterNode:
             self.applied[primary_ckpt] = info.ckpt_id
             self.applied_epoch[primary_ckpt] = epoch
 
-    def truncate_above(self, durable: int) -> List[int]:
-        """Discard every local checkpoint newer than the quorum
-        watermark.  Returns the primary ids discarded."""
-        return self.truncate_from(durable + 1)
-
-    def truncate_from(self, floor: int) -> List[int]:
-        """Discard every local checkpoint at or above ``floor``
-        (newest first — only childless checkpoints may be truncated).
-        Returns the primary ids discarded."""
-        doomed = sorted((c for c in self.applied if c >= floor),
-                        reverse=True)
-        for primary_ckpt in doomed:
-            local = self.applied.pop(primary_ckpt)
-            self.applied_epoch.pop(primary_ckpt, None)
-            self.sls.store.truncate_checkpoint(local)
-            self.shards.pop(primary_ckpt, None)
-        return doomed
-
     def __repr__(self) -> str:
         state = "down" if self.down else f"applied<={self.applied_max}"
         return f"ClusterNode(#{self.node_id} az{self.az} {state})"
-
-
-class SegmentedLink(ReplicationLink):
-    """One primary→node leg of the cluster.
-
-    Reuses :class:`ReplicationLink`'s retry policy, outage accounting
-    (``down_since``), stats and events; shipping is overridden to go
-    checkpoint-by-checkpoint through the cluster's canonical shard
-    manifests, crossing the ``on_repl`` quorum boundaries.
-    """
-
-    def __init__(self, cluster: "SLSCluster", node: ClusterNode,
-                 group: ConsistencyGroup):
-        super().__init__(cluster.primary, node.sls, group)
-        self.cluster = cluster
-        self.node = node
-        self.peer_id = node.node_id
-        # A per-node seed keeps backoff jitter independent across legs.
-        self.retry = RetryPolicy(
-            cluster.primary.machine.clock,
-            seed=0x11A6 ^ group.group_id ^ (node.node_id << 8),
-            op=f"cluster.ship.n{node.node_id}")
-
-    def _plan(self) -> Optional[FaultPlan]:
-        plan: Optional[FaultPlan] = getattr(self.src_sls.machine,
-                                            "fault_plan", None)
-        return plan
-
-    def _ship_ckpt(self, ckpt_id: int) -> None:
-        """One connect + send + apply attempt for one checkpoint."""
-        cluster = self.cluster
-        node = self.node
-        plan = self._plan()
-        if plan is not None:
-            plan.on_repl(node.node_id, B_SHIP)
-            plan.on_link()
-            # The ship direction can be partitioned independently of
-            # the ack path: delivery, not just shipping, fails
-            # per-direction (and may be skewed late).
-            delay = plan.on_deliver(faults.PRIMARY, node.node_id)
-            if delay:
-                self._clock().advance(delay)
-        manifest, payloads = cluster.shards_for(ckpt_id)
-        ctx = manifest.trace_ctx
-        registry = telemetry.registry()
-        clock = self._clock()
-        labels: Dict[str, Any] = {"group": self.group.group_id,
-                                  "node": node.node_id, "ckpt": ckpt_id}
-        if ctx is not None and ctx.tenant is not None:
-            labels["tenant"] = ctx.tenant
-        # Replica-side legs record into the originating checkpoint
-        # trace (resolved from the shipped context) so one trace spans
-        # primary → replicas; spans never advance the clock or touch
-        # the fault plan, keeping crash schedules identical.
-        with tracing.use(ctx.resolve() if ctx is not None else None):
-            with registry.span(clock, "repl.ship", **labels):
-                # The whole delta crosses the fabric to this node;
-                # wire time is charged on the primary's clock like any
-                # ``sls send``.
-                wire = self.src_sls.machine.nic.send(manifest.total_bytes)
-                self._clock().advance(wire)
-            self.stats["streams"] += 1
-            self.stats["bytes"] += manifest.total_bytes
-            cluster.account_transfer(cluster.primary_az, node.az,
-                                     manifest.total_bytes)
-            if plan is not None:
-                plan.on_repl(node.node_id, B_DELIVER)
-            # Epoch fencing: a replica refuses any delta stamped with
-            # an epoch older than the one its store durably promised —
-            # a partitioned ex-primary's writes die here, before they
-            # can reach the node's media.
-            promised = node.promised_epoch
-            if manifest.epoch < promised:
-                events.emit(clock.now(), events.FENCED_WRITE,
-                            group=self.group.group_id,
-                            node=node.node_id, ckpt=ckpt_id,
-                            epoch=manifest.epoch, promised=promised)
-                telemetry.registry().counter(
-                    "sls.cluster.fenced_writes",
-                    group=self.group.group_id).add(1)
-                cluster.stats["fenced_writes"] += 1
-                raise StaleEpoch(
-                    f"node {node.node_id} promised epoch {promised}, "
-                    f"delta carries epoch {manifest.epoch}: write "
-                    f"fenced", epoch=promised)
-            with registry.span(clock, "repl.deliver", **labels):
-                stream = assemble(manifest,
-                                  {meta.index: payloads[meta.index]
-                                   for meta in manifest.segments})
-            with registry.span(clock, "repl.apply", **labels):
-                node.apply(ckpt_id, stream, epoch=manifest.epoch)
-            node.shards[ckpt_id] = (manifest, payloads)
-            if plan is not None:
-                plan.on_repl(node.node_id, B_APPLY)
-
-    def ship_checkpoint(self, ckpt_id: int) -> bool:
-        """Ship one checkpoint to this node; True once it is on the
-        node's media, False when the leg is down (the next pump round
-        retries)."""
-        now = self._clock().now()
-        try:
-            self.retry.run(lambda: self._ship_ckpt(ckpt_id))
-        except RetriesExhausted as exc:
-            if self.down_since is None:
-                self.down_since = now
-                self.stats["outages"] += 1
-                events.emit(self._clock().now(), events.LINK_DOWN,
-                            group=self.group.group_id,
-                            node=self.node.node_id,
-                            error=f"{type(exc).__name__}: {exc}")
-                telemetry.registry().counter(
-                    "sls.replication.outages",
-                    group=self.group.group_id).add(1)
-            return False
-        self._mark_link_up()
-        self.last_shipped = ckpt_id
-        return True
 
 
 class ClusterRecovery:
@@ -373,21 +247,6 @@ class ClusterRecovery:
         return (f"ClusterRecovery(ckpt={self.durable} "
                 f"donor=#{self.donor.node_id} "
                 f"truncated={len(self.truncated)})")
-
-
-class ReconcilePlan:
-    """Differential-repair feed built by :meth:`SLSCluster.reconcile`.
-
-    Maps ``(node_id, primary_ckpt)`` to the locally retained segment
-    payloads whose digests matched the canonical tree — those need not
-    cross the wire again; only the segments that actually differ do.
-    Also the accounting sink for how much the heal moved."""
-
-    def __init__(self) -> None:
-        self.local: Dict[Tuple[int, int], Dict[int, bytes]] = {}
-        self.wire_bytes = 0
-        self.wire_segments = 0
-        self.local_segments = 0
 
 
 class SLSCluster:
@@ -424,12 +283,9 @@ class SLSCluster:
         self.segment_bytes = segment_bytes
         self.layout = ProtectionGroupLayout(npgs)
         self.nodes: List[ClusterNode] = [
-            ClusterNode(i, az=i % azs, group_id=self.gid)
+            ClusterNode(i, az=i % azs, group_id=self.gid,
+                        clock=primary.machine.clock)
             for i in range(nodes)]
-        self.links: List[SegmentedLink] = [
-            SegmentedLink(self, node, group) for node in self.nodes]
-        self.health: List[PeerHealth] = [PeerHealth()
-                                         for _ in range(nodes)]
         #: Quorum-durable watermark: newest primary checkpoint with a
         #: registered write quorum of acknowledgements.
         self.durable: Optional[int] = None
@@ -482,41 +338,74 @@ class SLSCluster:
             telemetry.registry().counter("sls.cluster.inter_az_bytes",
                                          group=self.gid).add(nbytes)
 
+    def _shard(self, sls: Orchestrator, local: int, ckpt: int
+               ) -> Tuple[ShardManifest, List[bytes]]:
+        """Serialize one held checkpoint's delta (store-local id
+        ``local``, primary id ``ckpt``) and cut it into segments."""
+        info = sls.store.get_checkpoint(local)
+        stream = migration.send_checkpoint(sls, self.gid, ckpt_id=local,
+                                           since=info.parent)
+        return shard_stream(self.gid, ckpt, stream, self.segment_bytes)
+
     def shards_for(self, ckpt_id: int
                    ) -> Tuple[ShardManifest, List[bytes]]:
         """The canonical sharded delta of one primary checkpoint
         (serialized once, memoized)."""
         cached = self._streams.get(ckpt_id)
         if cached is None:
-            info = self.primary.store.get_checkpoint(ckpt_id)
-            stream = migration.send_checkpoint(self.primary, self.gid,
-                                               ckpt_id=ckpt_id,
-                                               since=info.parent)
-            cached = shard_stream(self.gid, ckpt_id, stream,
-                                  self.segment_bytes)
+            cached = self._shard(self.primary, ckpt_id, ckpt_id)
             self._streams[ckpt_id] = cached
         if cached[0].trace_ctx is None:
-            cached[0].trace_ctx = self._capture_ctx()
+            cached[0].trace_ctx = tracing.TraceContext.for_group(
+                self.gid, tenant=self.group.name)
         # Stamped at ship time, not shard time: the wire always
         # carries the epoch this handle *currently* holds.
         cached[0].epoch = self.epoch
         return cached
 
-    def _capture_ctx(self) -> Optional["tracing.TraceContext"]:
-        """The trace context replication ships with a delta: the live
-        checkpoint trace when one is open, else the group's newest
-        finished checkpoint trace (the sync-commit hook runs *after*
-        the trace scope closed, so the commit that triggered this pump
-        is the ring's tail)."""
-        ctx = tracing.TraceContext.capture(tenant=self.group.name)
-        if ctx is not None:
-            return ctx
-        finished = tracing.tracer().traces(tracing.CHECKPOINT,
-                                           group=self.gid)
-        if finished:
-            return tracing.TraceContext.capture(finished[-1],
-                                                tenant=self.group.name)
-        return None
+    def held_shards(self, ckpt: int, holders: List[ClusterNode]
+                    ) -> Tuple[ShardManifest, List[bytes]]:
+        """A shard set for ``ckpt`` from the first holder whose
+        volatile cache has one — or, when every cache died with its
+        node, re-serialized from the first holder's store and cached
+        there."""
+        for holder in holders:
+            cached = holder.shards.get(ckpt)
+            if cached is not None:
+                return cached
+        holder = holders[0]
+        cached = self._shard(holder.sls, holder.applied[ckpt], ckpt)
+        holder.shards[ckpt] = cached
+        return cached
+
+    @contextmanager
+    def _traced(self, manifest: Optional[ShardManifest], **labels: Any
+                ) -> Iterator[Dict[str, Any]]:
+        """Enter the originating checkpoint trace ``manifest`` carries
+        (replica-side spans join the primary's trace) and yield the
+        span labels: the group, ``labels``, and the context's
+        tenant."""
+        ctx = manifest.trace_ctx if manifest is not None else None
+        labels = {"group": self.gid, **labels}
+        if ctx is not None and ctx.tenant is not None:
+            labels["tenant"] = ctx.tenant
+        with tracing.use(ctx.resolve() if ctx is not None else None):
+            yield labels
+
+    def _truncate_tail(self, node: ClusterNode, floor: int
+                       ) -> List[Tuple[int, int]]:
+        """Discard every checkpoint ``node`` holds at or above
+        ``floor`` (newest first — only childless checkpoints may be
+        truncated), with the acknowledgements those copies earned.
+        Returns the discarded ``(node_id, primary_ckpt)`` pairs."""
+        doomed = sorted((c for c in node.applied if c >= floor),
+                        reverse=True)
+        for ckpt in doomed:
+            node.sls.store.truncate_checkpoint(node.applied.pop(ckpt))
+            node.applied_epoch.pop(ckpt, None)
+            node.shards.pop(ckpt, None)
+            self.acks.get(ckpt, set()).discard(node.node_id)
+        return [(node.node_id, ckpt) for ckpt in doomed]
 
     def up_nodes(self) -> List[ClusterNode]:
         return [node for node in self.nodes if not node.down]
@@ -544,7 +433,6 @@ class SLSCluster:
             self._pumping = False
 
     def _pump(self) -> Optional[int]:
-        from .faults import InjectedNodeCrash
         self.stats["pumps"] += 1
         self._renew_lease()
         if self.fenced:
@@ -555,8 +443,7 @@ class SLSCluster:
             ckpt = info.ckpt_id
             self._commit_seen.setdefault(ckpt, clock.now())
             acks = self.acks.setdefault(ckpt, set())
-            for node, link, health in zip(self.nodes, self.links,
-                                          self.health):
+            for node in self.nodes:
                 if node.down:
                     continue
                 if ckpt in node.applied:
@@ -578,11 +465,14 @@ class SLSCluster:
                     # earlier chain entries (or repair) must land
                     # first so its local chain stays well-parented.
                     continue
-                if not health.should_attempt():
+                if not node.leg.should_attempt():
                     continue
                 plan = self._plan()
                 try:
-                    shipped = link.ship_checkpoint(ckpt)
+                    # False when the leg is down: the next pump round
+                    # retries.
+                    shipped = node.leg.ship(
+                        lambda: self._ship_ckpt(node, ckpt))
                     acked = shipped and self._ack_delivered(node)
                     if acked and plan is not None:
                         plan.on_repl(node.node_id, B_ACK)
@@ -595,20 +485,14 @@ class SLSCluster:
                     # diverging further.
                     self._fence(exc.epoch)
                     return self.durable
+                # Shipped but not acked: applied on the node's media,
+                # but the acknowledgement never made it back — the
+                # re-register branch above credits it after the heal.
                 if acked:
-                    health.record_success()
                     acks.add(node.node_id)
                     self.stats["acks"] += 1
                     self._ack_span(ckpt, node)
                     self._maybe_advance(ckpt)
-                elif shipped:
-                    # Applied on the node's media but the
-                    # acknowledgement never made it back: the
-                    # re-register branch above credits it after the
-                    # heal.
-                    health.record_success()
-                else:
-                    health.record_failure(clock.now())
         if chain and (self.durable is None
                       or self.durable < chain[-1].ckpt_id):
             newest = chain[-1].ckpt_id
@@ -619,6 +503,63 @@ class SLSCluster:
             telemetry.registry().counter("sls.cluster.quorum_stalls",
                                          group=self.gid).add(1)
         return self.durable
+
+    def _ship_ckpt(self, node: ClusterNode, ckpt_id: int) -> None:
+        """One connect + send + apply attempt of one checkpoint to one
+        node (the leg's retry unit), crossing its ``ship``,
+        ``deliver`` and ``apply`` boundaries."""
+        plan = self._plan()
+        clock = self._clock()
+        if plan is not None:
+            plan.on_repl(node.node_id, B_SHIP)
+            plan.on_link()
+            # The ship direction can be partitioned independently of
+            # the ack path: delivery, not just shipping, fails
+            # per-direction (and may be skewed late).
+            delay = plan.on_deliver(faults.PRIMARY, node.node_id)
+            if delay:
+                clock.advance(delay)
+        manifest, payloads = self.shards_for(ckpt_id)
+        registry = telemetry.registry()
+        # Spans never advance the clock or touch the fault plan,
+        # keeping crash schedules identical.
+        with self._traced(manifest, node=node.node_id,
+                          ckpt=ckpt_id) as labels:
+            with registry.span(clock, "repl.ship", **labels):
+                # The whole delta crosses the fabric to this node;
+                # wire time is charged on the primary's clock like any
+                # ``sls send``.
+                wire = self.primary.machine.nic.send(manifest.total_bytes)
+                clock.advance(wire)
+            node.leg.sent(manifest.total_bytes)
+            self.account_transfer(self.primary_az, node.az,
+                                  manifest.total_bytes)
+            if plan is not None:
+                plan.on_repl(node.node_id, B_DELIVER)
+            # Epoch fencing: a replica refuses any delta stamped with
+            # an epoch older than the one its store durably promised —
+            # a partitioned ex-primary's writes die here, before they
+            # can reach the node's media.
+            promised = node.promised_epoch
+            if manifest.epoch < promised:
+                events.emit(clock.now(), events.FENCED_WRITE,
+                            group=self.gid, node=node.node_id,
+                            ckpt=ckpt_id, epoch=manifest.epoch,
+                            promised=promised)
+                registry.counter("sls.cluster.fenced_writes",
+                                 group=self.gid).add(1)
+                self.stats["fenced_writes"] += 1
+                raise StaleEpoch(
+                    f"node {node.node_id} promised epoch {promised}, "
+                    f"delta carries epoch {manifest.epoch}: write "
+                    f"fenced", epoch=promised)
+            with registry.span(clock, "repl.deliver", **labels):
+                stream = assemble(manifest, dict(enumerate(payloads)))
+            with registry.span(clock, "repl.apply", **labels):
+                node.apply(ckpt_id, stream, epoch=manifest.epoch)
+            node.shards[ckpt_id] = (manifest, payloads)
+            if plan is not None:
+                plan.on_repl(node.node_id, B_APPLY)
 
     def _ack_delivered(self, node: ClusterNode) -> bool:
         """Whether the node→primary ack direction is deliverable right
@@ -699,12 +640,8 @@ class SLSCluster:
         """A zero-duration span marking the primary registering one
         node's acknowledgement, in the originating checkpoint trace."""
         cached = self._streams.get(ckpt)
-        ctx = cached[0].trace_ctx if cached is not None else None
-        labels: Dict[str, Any] = {"group": self.gid, "node": node.node_id,
-                                  "ckpt": ckpt}
-        if ctx is not None and ctx.tenant is not None:
-            labels["tenant"] = ctx.tenant
-        with tracing.use(ctx.resolve() if ctx is not None else None):
+        with self._traced(cached[0] if cached is not None else None,
+                          node=node.node_id, ckpt=ckpt) as labels:
             now = self._clock().now()
             telemetry.registry().record_span("repl.ack", now, now,
                                              **labels)
@@ -786,8 +723,7 @@ class SLSCluster:
         if not node.down:
             return
         node.reboot()
-        self.links[node_id].dst_sls = node.sls
-        self.health[node_id] = PeerHealth()
+        node.leg.reset_cadence()
         events.emit(self._clock().now(), events.NODE_UP,
                     group=self.gid, node=node_id, az=node.az,
                     applied=node.applied_max)
@@ -832,7 +768,6 @@ class SLSCluster:
                 if not reboot:
                     continue
                 node.reboot()
-                self.links[node.node_id].dst_sls = node.sls
             available.append(node)
         if len(available) < self.read_quorum:
             raise QuorumLost(
@@ -874,10 +809,8 @@ class SLSCluster:
                    if c > durable
                    or node.applied_epoch.get(c, 0) != auth.get(
                        c, node.applied_epoch.get(c, 0))]
-            if not bad:
-                continue
-            for ckpt in node.truncate_from(min(bad)):
-                truncated.append((node.node_id, ckpt))
+            if bad:
+                truncated += self._truncate_tail(node, min(bad))
         if truncated:
             events.emit(self._clock().now(), events.TAIL_TRUNCATE,
                         group=self.gid, ckpt=durable,
@@ -1041,7 +974,7 @@ class SLSCluster:
                 group=self.gid).add(1)
             self.durable = durable
         started = node.machine.clock.now()
-        node.truncate_above(durable)
+        self._truncate_tail(node, durable + 1)
         result = node.sls.restore(self.gid,
                                   ckpt_id=node.applied[durable],
                                   periodic=False)
@@ -1058,8 +991,7 @@ class SLSCluster:
 
     # -- repair ------------------------------------------------------------
 
-    def repair(self, recon: Optional[ReconcilePlan] = None
-               ) -> Dict[str, Any]:
+    def repair(self) -> Dict[str, Any]:
         """Segment-parallel re-replication of every missing copy.
 
         Targets rebuild concurrently; within a target, segments
@@ -1069,15 +1001,26 @@ class SLSCluster:
         no reachable donor can serve defers the whole target until a
         heal).  Wall time is the slowest target's queue; per-segment
         MTTR (repair start → segment landed) feeds the
-        ``repair.segment_mttr`` histogram and SLO budget.  ``recon``
-        (from :meth:`reconcile`) supplies locally retained segments
-        that need not cross the wire.  Returns the repair report.
+        ``repair.segment_mttr`` histogram and SLO budget.  Returns the
+        repair report.
         """
-        from .faults import InjectedNodeCrash
+        return self._fill({})[0]
+
+    def _fill(self, stash: Dict[Tuple[int, int], Dict[int, bytes]]
+              ) -> Tuple[Dict[str, Any], Dict[str, int]]:
+        """The fill :meth:`repair` and :meth:`reconcile` share.
+
+        ``stash`` maps ``(node_id, primary_ckpt)`` to digest-matched
+        segment payloads already on that node: those need not cross
+        the wire again.  Returns the repair report and how the
+        rebuilt segments arrived (``wire_segments``,
+        ``local_segments``, ``reconcile_bytes`` on the wire)."""
         clock = self._clock()
         registry = telemetry.registry()
         hist = registry.histogram("sls.cluster.repair.segment_mttr",
                                   group=self.gid)
+        moved = {"wire_segments": 0, "local_segments": 0,
+                 "reconcile_bytes": 0}
         per_target_ns: Dict[int, int] = {}
         segments_done = 0
         ckpts_done = 0
@@ -1094,13 +1037,11 @@ class SLSCluster:
                     continue
                 if not self._chain_ready(target, ckpt):
                     continue
-                local = (recon.local.get((target.node_id, ckpt))
-                         if recon is not None else None)
                 try:
                     elapsed, nsegs = self._repair_one(
                         target, ckpt, holders,
                         per_target_ns.get(target.node_id, 0), hist,
-                        local=local, recon=recon)
+                        stash.get((target.node_id, ckpt), {}), moved)
                 except InjectedNodeCrash as exc:
                     self.node_down(exc.node, reason="fault")
                     continue
@@ -1129,7 +1070,7 @@ class SLSCluster:
                     **report)
         registry.counter("sls.cluster.segments_repaired",
                          group=self.gid).add(segments_done)
-        return report
+        return report, moved
 
     def _chain_ready(self, target: ClusterNode, ckpt: int) -> bool:
         """Whether ``target`` holds the delta's baseline (repair walks
@@ -1150,68 +1091,55 @@ class SLSCluster:
 
     def _repair_one(self, target: ClusterNode, ckpt: int,
                     holders: List[ClusterNode], queue_ns: int,
-                    hist: Any, local: Optional[Dict[int, bytes]] = None,
-                    recon: Optional[ReconcilePlan] = None
-                    ) -> Tuple[int, int]:
+                    hist: Any, local: Dict[int, bytes],
+                    moved: Dict[str, int]) -> Tuple[int, int]:
         """Rebuild one checkpoint's segments onto one target; returns
         the target's updated queue time and the segment count.
         ``local`` holds digest-matched segments already on the target
         (no wire crossing); raises :class:`~repro.errors.LinkDown`
         when some segment has no partition-reachable donor."""
         plan = self._plan()
-        manifest, payloads = self._segments_from(holders, ckpt)
-        ctx = manifest.trace_ctx
-        labels: Dict[str, Any] = {"group": self.gid,
-                                  "node": target.node_id, "ckpt": ckpt}
-        if ctx is not None and ctx.tenant is not None:
-            labels["tenant"] = ctx.tenant
-        registry = telemetry.registry()
+        manifest, payloads = self.held_shards(ckpt, holders)
         repair_start = self._clock().now()
         gathered: Dict[int, bytes] = {}
         elapsed = queue_ns
-        with tracing.use(ctx.resolve() if ctx is not None else None):
+        with self._traced(manifest, node=target.node_id,
+                          ckpt=ckpt) as labels:
             for meta in manifest.segments:
                 if plan is not None:
                     plan.on_repl(target.node_id, B_REPAIR)
-                cached = (local.get(meta.index)
-                          if local is not None else None)
-                if cached is not None and len(cached) == meta.length:
-                    # Digest-matched local copy: media write only.
-                    meta.verify(cached)
-                    gathered[meta.index] = cached
-                    elapsed += SEGMENT_REBUILD_COST_NS
-                    if recon is not None:
-                        recon.local_segments += 1
-                    hist.observe(elapsed)
-                    self.primary.slo.on_repair_segment(self.gid,
-                                                       elapsed)
-                    continue
-                donor = None
-                delay = 0
-                for shift in range(len(holders)):
-                    cand = holders[(meta.index + shift) % len(holders)]
-                    if plan is not None:
+                payload = local.get(meta.index)
+                donor: Optional[ClusterNode] = None
+                if payload is None or len(payload) != meta.length:
+                    for shift in range(len(holders)):
+                        donor = holders[(meta.index + shift)
+                                        % len(holders)]
                         try:
-                            delay = plan.on_deliver(cand.node_id,
-                                                    target.node_id)
+                            delay = (0 if plan is None else
+                                     plan.on_deliver(donor.node_id,
+                                                     target.node_id))
                         except LinkDown:
                             continue
-                    donor = cand
-                    break
-                if donor is None:
-                    raise LinkDown(
-                        f"no donor for segment {meta.index} of "
-                        f"checkpoint {ckpt} reachable from node "
-                        f"{target.node_id}")
-                payload = payloads[meta.index]
+                        break
+                    else:
+                        raise LinkDown(
+                            f"no donor for segment {meta.index} of "
+                            f"checkpoint {ckpt} reachable from node "
+                            f"{target.node_id}")
+                    payload = payloads[meta.index]
                 meta.verify(payload)
                 gathered[meta.index] = payload
-                elapsed += (delay + target.machine.nic.transfer_time(
-                    max(meta.length, 1)) + SEGMENT_REBUILD_COST_NS)
-                self.account_transfer(donor.az, target.az, meta.length)
-                if recon is not None:
-                    recon.wire_segments += 1
-                    recon.wire_bytes += meta.length
+                elapsed += SEGMENT_REBUILD_COST_NS
+                if donor is None:
+                    # Digest-matched local copy: media write only.
+                    moved["local_segments"] += 1
+                else:
+                    elapsed += delay + target.machine.nic.transfer_time(
+                        max(meta.length, 1))
+                    self.account_transfer(donor.az, target.az,
+                                          meta.length)
+                    moved["wire_segments"] += 1
+                    moved["reconcile_bytes"] += meta.length
                 hist.observe(elapsed)
                 self.primary.slo.on_repair_segment(self.gid, elapsed)
             stream = assemble(manifest, gathered)
@@ -1219,10 +1147,9 @@ class SLSCluster:
                          for h in holders if ckpt in h.applied),
                         default=self.epoch)
             target.apply(ckpt, stream, epoch=epoch)
-            registry.record_span("repl.repair", repair_start,
-                                 self._clock().now(),
-                                 segments=len(manifest.segments),
-                                 **labels)
+            telemetry.registry().record_span(
+                "repl.repair", repair_start, self._clock().now(),
+                segments=len(manifest.segments), **labels)
         target.shards[ckpt] = (manifest, payloads)
         events.emit(self._clock().now(), events.SEGMENT_REPAIRED,
                     group=self.gid, node=target.node_id, ckpt=ckpt,
@@ -1230,51 +1157,12 @@ class SLSCluster:
                     pgs=self.layout.npgs)
         return elapsed, len(manifest.segments)
 
-    def _segments_from(self, holders: List[ClusterNode], ckpt: int
-                       ) -> Tuple[ShardManifest, List[bytes]]:
-        """A canonical shard set for one checkpoint, from any holder's
-        volatile cache — or re-serialized from a holder's store when
-        every cache died with its node."""
-        for holder in holders:
-            cached = holder.shards.get(ckpt)
-            if cached is not None:
-                return cached
-        holder = holders[0]
-        local = holder.applied[ckpt]
-        info = holder.sls.store.get_checkpoint(local)
-        stream = migration.send_checkpoint(holder.sls, self.gid,
-                                           ckpt_id=local,
-                                           since=info.parent)
-        sharded = shard_stream(self.gid, ckpt, stream,
-                               self.segment_bytes)
-        holder.shards[ckpt] = sharded
-        return sharded
-
     # -- anti-entropy reconciliation ---------------------------------------
-
-    def _node_manifests(self, node: ClusterNode
-                        ) -> Dict[int, ShardManifest]:
-        """One node's manifests for everything it holds, from the
-        volatile shard cache or re-serialized from its store."""
-        out: Dict[int, ShardManifest] = {}
-        for ckpt in list(node.applied):
-            cached = node.shards.get(ckpt)
-            if cached is None:
-                local = node.applied[ckpt]
-                info = node.sls.store.get_checkpoint(local)
-                stream = migration.send_checkpoint(node.sls, self.gid,
-                                                   ckpt_id=local,
-                                                   since=info.parent)
-                cached = shard_stream(self.gid, ckpt, stream,
-                                      self.segment_bytes)
-                node.shards[ckpt] = cached
-            out[ckpt] = cached[0]
-        return out
 
     def reconcile(self) -> Dict[str, Any]:
         """Heal-time anti-entropy: fence-truncate superseded minority
         tails, digest-diff every node against the canonical history,
-        and feed :meth:`repair` exactly the segments that differ.
+        and fill exactly the segments that differ.
 
         Three passes over the up nodes:
 
@@ -1288,8 +1176,8 @@ class SLSCluster:
            the canonical tree; locally intact segments of divergent
            checkpoints are stashed so only differing bytes cross the
            wire.
-        3. **Differential repair** — :meth:`repair` runs with the
-           stash; reconciliation spans join the originating
+        3. **Differential repair** — :meth:`repair`'s fill runs with
+           the stash; reconciliation spans join the originating
            distributed traces via the manifests' carried contexts.
 
         Closes the ``STALE_PRIMARY`` degraded spell when this handle
@@ -1321,11 +1209,8 @@ class SLSCluster:
                    if node.applied_epoch.get(c, 0) < auth_epoch[c]
                    or (node.applied_epoch.get(c, 0) < current
                        and (durable is None or c > durable))]
-            if not bad:
-                continue
-            for ckpt in node.truncate_from(min(bad)):
-                fenced.append((node.node_id, ckpt))
-                self.acks.get(ckpt, set()).discard(node.node_id)
+            if bad:
+                fenced += self._truncate_tail(node, min(bad))
         # The fenced ex-primary's own store carries the same doomed
         # tail: drain it too, so nothing on any machine can resume
         # from a write that lost its quorum race.
@@ -1352,7 +1237,9 @@ class SLSCluster:
         surviving = sorted({ckpt for node in up
                             for ckpt in node.applied})
         by_node: Dict[int, Dict[int, ShardManifest]] = {
-            node.node_id: self._node_manifests(node) for node in up}
+            node.node_id: {ckpt: self.held_shards(ckpt, [node])[0]
+                           for ckpt in node.applied}
+            for node in up}
         canonical_manifests: Dict[int, ShardManifest] = {}
         for ckpt in surviving:
             votes: Dict[int, int] = {}
@@ -1368,7 +1255,7 @@ class SLSCluster:
             best = max(sorted(votes), key=lambda root: votes[root])
             canonical_manifests[ckpt] = pick[best]
         canonical = DigestTree(self.layout, canonical_manifests)
-        recon = ReconcilePlan()
+        stash: Dict[Tuple[int, int], Dict[int, bytes]] = {}
         divergent_truncated = 0
         for node in up:
             mine = DigestTree(self.layout, by_node[node.node_id])
@@ -1384,10 +1271,9 @@ class SLSCluster:
                     if ckpt < floor:
                         continue
                     leaves = canonical.leaves.get(ckpt)
-                    cached = node.shards.get(ckpt)
-                    if leaves is None or cached is None:
+                    if leaves is None:
                         continue
-                    payloads = cached[1]
+                    payloads = self.held_shards(ckpt, [node])[1]
                     keep = {
                         index: payloads[index]
                         for index, leaf in leaves.items()
@@ -1395,53 +1281,38 @@ class SLSCluster:
                         and mine.leaves.get(ckpt, {}).get(index) == leaf
                     }
                     if keep:
-                        recon.local[(node.node_id, ckpt)] = keep
-                for ckpt in node.truncate_from(floor):
-                    divergent_truncated += 1
-                    self.acks.get(ckpt, set()).discard(node.node_id)
+                        stash[(node.node_id, ckpt)] = keep
+                divergent_truncated += len(self._truncate_tail(node,
+                                                               floor))
             if plan is not None:
                 plan.on_repl(node.node_id, B_RECONCILE)
         # Pass 3: differential repair fills every gap the diff found.
-        report = self.repair(recon=recon)
+        report, moved = self._fill(stash)
+        wire_bytes = moved["reconcile_bytes"]
         self.stats["reconciles"] += 1
         reconcile_ns = clock.now() - started
-        ctx = None
-        if canonical_manifests:
-            newest = canonical_manifests[max(canonical_manifests)]
-            ctx = newest.trace_ctx
-        with tracing.use(ctx.resolve() if ctx is not None else None):
-            labels: Dict[str, Any] = {"group": self.gid,
-                                      "fenced": len(fenced),
-                                      "bytes": recon.wire_bytes}
-            if ctx is not None and ctx.tenant is not None:
-                labels["tenant"] = ctx.tenant
+        newest = (canonical_manifests[max(canonical_manifests)]
+                  if canonical_manifests else None)
+        with self._traced(newest, fenced=len(fenced),
+                          bytes=wire_bytes) as labels:
             telemetry.registry().record_span(
                 "repl.reconcile", started, clock.now(), **labels)
         events.emit(clock.now(), events.RECONCILE_DONE, group=self.gid,
                     epoch=current, fenced=len(fenced),
                     divergent=divergent_truncated,
-                    wire_segments=recon.wire_segments,
-                    local_segments=recon.local_segments,
-                    bytes=recon.wire_bytes,
-                    reconcile_ns=reconcile_ns)
+                    wire_segments=moved["wire_segments"],
+                    local_segments=moved["local_segments"],
+                    bytes=wire_bytes, reconcile_ns=reconcile_ns)
         telemetry.registry().counter("sls.cluster.reconcile_bytes",
-                                     group=self.gid).add(
-                                         recon.wire_bytes)
-        self.primary.slo.on_reconcile(self.gid, recon.wire_bytes)
+                                     group=self.gid).add(wire_bytes)
+        self.primary.slo.on_reconcile(self.gid, wire_bytes)
         if self.fenced and self.group.health.degraded \
                 and self.group.health.reason == REASON_STALE_PRIMARY:
             spell = self.group.health.exit(clock.now())
             self.primary.slo.on_degraded_exit(self.gid, clock.now())
             self.primary.slo.on_stale_primary(self.gid, spell)
-        report.update({
-            "fenced": len(fenced),
-            "divergent": divergent_truncated,
-            "wire_segments": recon.wire_segments,
-            "local_segments": recon.local_segments,
-            "reconcile_bytes": recon.wire_bytes,
-            "reconcile_ns": reconcile_ns,
-            "epoch": current,
-        })
+        report.update(fenced=len(fenced), divergent=divergent_truncated,
+                      **moved, reconcile_ns=reconcile_ns, epoch=current)
         return report
 
     # -- audit / reporting -------------------------------------------------
@@ -1456,8 +1327,7 @@ class SLSCluster:
         verified = 0
         for node in up:
             for ckpt, (manifest, payloads) in node.shards.items():
-                assemble(manifest, {meta.index: payloads[meta.index]
-                                    for meta in manifest.segments})
+                assemble(manifest, dict(enumerate(payloads)))
                 verified += len(manifest.segments)
         return {
             "checkpoints": len(ckpts),
@@ -1501,23 +1371,23 @@ class SLSCluster:
         """The ``sls cluster`` payload."""
         registry = telemetry.registry()
         rows = []
-        for node, link, health in zip(self.nodes, self.links,
-                                      self.health):
+        for node in self.nodes:
             rows.append({
                 "node": node.node_id,
                 "az": node.az,
                 "state": ("down" if node.down
-                          else ("degraded" if health.degraded
+                          else ("degraded" if node.leg.degraded
                                 else "up")),
                 "applied": node.applied_max,
                 "epoch": (None if node.down else node.promised_epoch),
+                # Acknowledged checkpoints up to the watermark that
+                # this node lacks.
                 "lag": (0 if self.durable is None
-                        or node.applied_max is None
-                        else max(0, len([c for c in self.acks
-                                         if c <= self.durable
-                                         and c not in node.applied]))),
-                "streams": link.stats["streams"],
-                "bytes": link.stats["bytes"],
+                        else sum(1 for c in self.acks
+                                 if c <= self.durable
+                                 and c not in node.applied)),
+                "streams": node.leg.stats["streams"],
+                "bytes": node.leg.stats["bytes"],
             })
         return {
             "group": self.gid,

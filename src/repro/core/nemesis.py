@@ -291,7 +291,6 @@ def _campaign_asym_flap_repair(seed: int) -> CampaignResult:
     # A blank replacement node takes over slot 5.
     wiped = fx.cluster.nodes[5]
     wiped.wipe()
-    fx.cluster.links[5].dst_sls = wiped.sls
     for acks in fx.cluster.acks.values():
         acks.discard(5)
     # Donors 0 and 1 cannot reach the target; donor 2 is slow.

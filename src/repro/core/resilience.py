@@ -16,6 +16,9 @@ the policy half of that promise:
   Every retry and every exhaustion lands in the structured event log
   and the metric registry; backoff waits are recorded as
   ``resilience.backoff`` spans so traces show where the time went.
+* :class:`ReplicaLeg` is one replication leg's outage and
+  probe-cadence bookkeeping: the standby link and every quorum-cluster
+  node ship through one.
 * :class:`GroupHealth` is the per-consistency-group degraded-mode
   state machine the orchestrator drives: ``ok`` → ``degraded`` on
   ENOSPC (memory-only checkpoints + emergency GC) or on
@@ -32,7 +35,7 @@ a run with retries is exactly as reproducible as one without.
 from __future__ import annotations
 
 import random
-from typing import Callable, Optional, Tuple, Type, TypeVar
+from typing import Any, Callable, Dict, Optional, Tuple, Type, TypeVar
 
 from ..errors import LinkDown, RetriesExhausted, TransientDeviceError
 from ..units import MSEC, USEC
@@ -153,70 +156,95 @@ class RetryPolicy:
                                          attempt=attempt)
 
 
-#: Consecutive failed ships before a cluster peer is considered
-#: degraded (the pump stops hammering it every round).
+#: Consecutive exhausted ships before a replica leg is considered
+#: degraded (the cluster pump stops hammering it every round).
 PEER_FAILURE_THRESHOLD = 2
-#: While a peer is degraded, probe it every Nth pump round.
+#: While a leg is degraded, the pump probes it every Nth round.
 PEER_PROBE_EVERY = 4
 
 
-class PeerHealth:
-    """Per-cluster-node health as seen by the replication pump.
+class ReplicaLeg:
+    """One primary→replica shipping leg, shared by the single-standby
+    :class:`~repro.core.replication.ReplicationLink` and every
+    quorum-cluster node: the retry policy each ship runs under, the
+    outage, the probe cadence and the wire stats.
 
-    Mirrors :class:`GroupHealth` but for a *remote* failure domain: a
-    node whose ships keep exhausting their retries degrades, and a
-    degraded node is only probed every :data:`PEER_PROBE_EVERY` pump
-    rounds instead of dragging every round through a full retry
-    budget.  Any successful ship restores it to ``ok``.
+    A ship that exhausts its retries opens an outage (``down_since``,
+    ``replication.link_down``, ``sls.replication.outages``) and the
+    next ship that gets through closes it (``replication.link_up``);
+    ``labels`` name the leg in all three.  After
+    :data:`PEER_FAILURE_THRESHOLD` consecutive exhausted ships the leg
+    is *degraded*: :meth:`should_attempt` lets only every
+    :data:`PEER_PROBE_EVERY` round through instead of dragging each
+    round through a full retry budget.
     """
 
-    __slots__ = ("state", "consecutive_failures", "rounds",
-                 "degraded_since")
-
-    def __init__(self) -> None:
-        self.state = HEALTH_OK
+    def __init__(self, clock: _ClockLike, *, seed: int, op: str,
+                 **labels: Any) -> None:
+        self.clock = clock
+        self.retry = RetryPolicy(clock, seed=seed, op=op)
+        self.labels = labels
+        self.stats: Dict[str, int] = {"streams": 0, "bytes": 0,
+                                      "outages": 0}
+        self.down_since: Optional[int] = None
         self.consecutive_failures = 0
-        #: Pump rounds seen while degraded (drives the probe cadence).
+        #: Rounds seen while degraded (drives the probe cadence).
         self.rounds = 0
-        self.degraded_since: Optional[int] = None
 
     @property
     def degraded(self) -> bool:
-        return self.state == HEALTH_DEGRADED
-
-    def record_failure(self, now_ns: int) -> bool:
-        """One exhausted ship; returns True when this tipped the peer
-        into degraded."""
-        self.consecutive_failures += 1
-        if (not self.degraded
-                and self.consecutive_failures >= PEER_FAILURE_THRESHOLD):
-            self.state = HEALTH_DEGRADED
-            self.degraded_since = now_ns
-            self.rounds = 0
-            return True
-        return False
-
-    def record_success(self) -> bool:
-        """One good ship; returns True when the peer just recovered."""
-        recovered = self.degraded
-        self.state = HEALTH_OK
-        self.consecutive_failures = 0
-        self.rounds = 0
-        self.degraded_since = None
-        return recovered
+        return self.consecutive_failures >= PEER_FAILURE_THRESHOLD
 
     def should_attempt(self) -> bool:
-        """Whether the pump should ship to this peer this round."""
+        """Whether the pump should ship on this leg this round."""
         if not self.degraded:
             return True
         self.rounds += 1
         return self.rounds % PEER_PROBE_EVERY == 0
 
-    def __repr__(self) -> str:
-        if not self.degraded:
-            return "PeerHealth(ok)"
-        return (f"PeerHealth(degraded, "
-                f"{self.consecutive_failures} failures)")
+    def reset_cadence(self) -> None:
+        """Back to shipping every round (the replica rebooted)."""
+        self.consecutive_failures = 0
+        self.rounds = 0
+
+    def sent(self, nbytes: int) -> None:
+        """One stream of ``nbytes`` went on the wire."""
+        self.stats["streams"] += 1
+        self.stats["bytes"] += nbytes
+
+    def outage_ns(self) -> int:
+        """How long the current outage has lasted (0 when healthy)."""
+        if self.down_since is None:
+            return 0
+        return self.clock.now() - self.down_since
+
+    def ship(self, attempt: Callable[[], Any]) -> bool:
+        """Run one ship ``attempt`` under the retry policy; True once
+        it went through, False when the retries ran out."""
+        now = self.clock.now()
+        try:
+            self.retry.run(attempt)
+        except RetriesExhausted as exc:
+            self.consecutive_failures += 1
+            if self.down_since is None:
+                self.down_since = now
+                self.stats["outages"] += 1
+                sls_events.emit(self.clock.now(), sls_events.LINK_DOWN,
+                                **self.labels,
+                                error=f"{type(exc).__name__}: {exc}")
+                telemetry.registry().counter("sls.replication.outages",
+                                             **self.labels).add(1)
+            return False
+        self.reset_cadence()
+        # Every ship that gets through closes the outage: a stale
+        # start left behind after the link healed would let a
+        # failover deadline misread a long-dead outage as a
+        # long-running one.
+        if self.down_since is not None:
+            sls_events.emit(self.clock.now(), sls_events.LINK_UP,
+                            **self.labels, outage_ns=self.outage_ns())
+            self.down_since = None
+        return True
 
 
 class GroupHealth:

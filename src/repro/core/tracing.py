@@ -307,6 +307,20 @@ class TraceContext:
                    group if isinstance(group, int) else None,
                    tenant, trace=trace_obj)
 
+    @classmethod
+    def for_group(cls, group_id: int, tenant: Optional[str] = None
+                  ) -> Optional["TraceContext"]:
+        """The context a replication leg ships with a delta: the live
+        trace when one is open, else the group's newest finished
+        checkpoint trace (a sync-commit hook runs *after* the trace
+        scope closed, so the commit that triggered the ship is the
+        ring's tail)."""
+        ctx = cls.capture(tenant=tenant)
+        if ctx is not None:
+            return ctx
+        finished = _TRACER.traces(CHECKPOINT, group=group_id)
+        return cls.capture(finished[-1], tenant=tenant) if finished else None
+
     def to_wire(self) -> Dict[str, Any]:
         """The serializable wire form (survives :mod:`repro.serde`)."""
         return {"trace_id": self.trace_id, "span_id": self.span_id,

@@ -15,6 +15,9 @@ Three invariants, each verified over randomized states and membership
   (node media wipes, within the f=2 tolerance of a 3/5 quorum),
   segment repair reconverges to full replication with every segment
   checksum intact.
+
+The per-node bookkeeping the ``sls cluster`` table and event log
+report (status lag, per-leg link events) is pinned at the end.
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Machine, load_aurora
+from repro.core import events, telemetry
 from repro.core.cluster import SLSCluster
+from repro.core.faults import FaultPlan
 from repro.units import PAGE_SIZE
 
 NODES = 5
@@ -148,7 +153,6 @@ def _check_repair_convergence(wiped, v1, v2):
     # Lose k<=2 complete copies: replacement nodes come up blank.
     for node_id in wiped:
         fx.cluster.nodes[node_id].wipe()
-        fx.cluster.links[node_id].dst_sls = fx.cluster.nodes[node_id].sls
         for acks in fx.cluster.acks.values():
             acks.discard(node_id)
     report = fx.cluster.repair()
@@ -184,3 +188,51 @@ def test_repair_converges_after_copy_losses(wiped, v1, v2):
 @given(wiped=wipe_sets, v1=payloads, v2=payloads)
 def test_repair_converges_after_copy_losses_deep(wiped, v1, v2):
     _check_repair_convergence(wiped, v1, v2)
+
+
+# -- per-node status and leg events -------------------------------------------
+
+
+def test_status_lag_counts_what_an_empty_node_lacks():
+    """A node holding nothing lags by every acknowledged checkpoint up
+    to the watermark, not by zero."""
+    machine = Machine()
+    sls = load_aurora(machine)
+    proc = machine.kernel.spawn("svc")
+    addr = proc.vmspace.mmap(4 * PAGE_SIZE, name="heap")
+    group = sls.attach(proc, name="svc", periodic=False)
+    cluster = SLSCluster(sls, group, nodes=3, azs=3)
+    for step in range(3):
+        proc.vmspace.write(addr, b"step-%d" % step)
+        sls.checkpoint(group, sync=True)
+        cluster.pump()
+    assert cluster.durable == 3
+    cluster.nodes[2].wipe()
+    rows = cluster.status()["nodes"]
+    assert rows[2]["applied"] is None
+    assert rows[2]["lag"] == 3
+    assert [row["lag"] for row in rows[:2]] == [0, 0]
+
+
+def test_healed_legs_each_report_their_own_link_up():
+    """A flap that exhausts three legs' retries opens three outages;
+    when the link heals, each leg closes its own with one ``link_up``
+    naming its node, and the outage counter is per node too."""
+    telemetry.reset()
+    fx = Fixture()
+    # Five attempts per ship: fifteen flaps exhaust nodes 0, 1 and 2.
+    fx.machine.set_fault_plan(FaultPlan(name="flap").flaky_link(times=15))
+    fx.commit(b"v1", name="v1")
+    fx.cluster.pump()
+    downs = events.log().matching(events.LINK_DOWN)
+    assert [event.fields["node"] for event in downs] == [0, 1, 2]
+    fx.commit(b"v2", name="v2")
+    fx.cluster.pump()
+    ups = events.log().matching(events.LINK_UP)
+    assert [event.fields["node"] for event in ups] == [0, 1, 2]
+    registry = telemetry.registry()
+    for node_id in range(NODES):
+        assert registry.value("sls.replication.outages",
+                              group=fx.group.group_id,
+                              node=node_id) == (node_id < 3)
+    telemetry.reset()

@@ -183,7 +183,8 @@ def _check_heal_converges(pairs, seed):
     # Every node's digest tree agrees after the heal.
     roots = set()
     for node in fx.cluster.nodes:
-        manifests = fx.cluster._node_manifests(node)
+        manifests = {ckpt: fx.cluster.held_shards(ckpt, [node])[0]
+                     for ckpt in node.applied}
         roots.add(DigestTree(fx.cluster.layout, manifests).root)
     assert len(roots) == 1
     fx.machine.crash()
