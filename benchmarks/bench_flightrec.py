@@ -13,6 +13,11 @@ Two claims from the ISSUE get numbers here:
   durable commit, with the snapshot's payload utilization reported
   (how much of the 64 KiB budget a busy run actually fills).
 
+``--smoke`` also gates the wall-clock price of the recorder: at the
+50-checkpoint point, where first-time row encodes dominate, the run
+with telemetry on may take at most ``SMOKE_WALL_RATIO_MAX`` times the
+run with it off.
+
 Emits ``BENCH_flightrec.json`` at the repo root::
 
     python benchmarks/bench_flightrec.py           # full sweep
@@ -35,6 +40,11 @@ from repro.objstore.store import ObjectStore
 from repro.units import MSEC, PAGE_SIZE
 
 SWEEP = [10, 50, 200]
+SMOKE_SWEEP = [10, 50]
+#: The smoke run's wall-clock gate: telemetry-on over telemetry-off
+#: wall time at ``WALL_GATE_CHECKPOINTS``.
+WALL_GATE_CHECKPOINTS = 50
+SMOKE_WALL_RATIO_MAX = 2.0
 JSON_PATH = pathlib.Path(__file__).resolve().parent.parent / \
     "BENCH_flightrec.json"
 
@@ -105,6 +115,7 @@ def run_config(checkpoints: int) -> dict:
         "recover_wall_ms": recover_wall * 1e3,
         "wall_on_s": wall_on,
         "wall_off_s": wall_off,
+        "wall_ratio": wall_on / wall_off,
         "wall_overhead_per_ckpt_us":
             max(0.0, (wall_on - wall_off)) * 1e6 / checkpoints,
     }
@@ -136,12 +147,13 @@ def run_sweep(sweep) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
-                        help="CI-sized point with hard assertions: "
-                             "zero simulated overhead, full recovery")
+                        help="CI-sized points with hard assertions: "
+                             "zero simulated overhead, full recovery, "
+                             "bounded wall-clock overhead")
     parser.add_argument("--output", type=pathlib.Path, default=JSON_PATH)
     args = parser.parse_args()
 
-    sweep = [10] if args.smoke else SWEEP
+    sweep = SMOKE_SWEEP if args.smoke else SWEEP
     results = run_sweep(sweep)
     args.output.write_text(json.dumps(results, indent=2) + "\n")
     print(f"[flightrec] wrote {args.output}")
@@ -162,6 +174,12 @@ def main() -> int:
             failures.append(f"{row['checkpoints']} ckpts: shed "
                             f"snapshot still over budget "
                             f"({row['snapshot_used_bytes']} B)")
+        if args.smoke and row["checkpoints"] == WALL_GATE_CHECKPOINTS \
+                and row["wall_ratio"] > SMOKE_WALL_RATIO_MAX:
+            failures.append(f"{row['checkpoints']} ckpts: telemetry on "
+                            f"costs {row['wall_ratio']:.2f}x the wall "
+                            f"time of off "
+                            f"(gate {SMOKE_WALL_RATIO_MAX}x)")
     if failures:
         print("[flightrec] FAILURES:")
         for failure in failures:

@@ -665,6 +665,8 @@ def cmd_blackbox(args) -> int:
     print(f"ring: {snap.get('events_retained', 0)} retained, "
           f"events_dropped={snap.get('events_dropped', 0)}, "
           f"traces_dropped={snap.get('traces_dropped', 0)}")
+    if snap.get("degraded"):
+        print(f"degraded snapshot (no rows): {snap['degraded']}")
     for row in snap.get("slo") or []:
         print(f"  tenant {row.get('tenant') or row.get('group')}: "
               f"{row.get('commits', 0)} commit(s), "

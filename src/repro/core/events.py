@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Dict, Iterator, List, Optional
 
+from ..serde import Encoded
 from . import telemetry
 
 #: Event kinds.
@@ -69,12 +70,13 @@ ADMISSION_REJECT = "fleet.admission_reject"
 BACKPRESSURE = "fleet.backpressure"
 DEADLINE_MISS = "fleet.deadline_miss"
 SLO_ALERT = "slo.alert"
+FLIGHTREC_DEGRADED = "flightrec.degraded"
 
 
 class Event:
     """One structured log entry."""
 
-    __slots__ = ("time_ns", "kind", "fields", "trace_id")
+    __slots__ = ("time_ns", "kind", "fields", "trace_id", "encoded_row")
 
     def __init__(self, time_ns: int, kind: str, fields: Dict[str, Any],
                  trace_id: Optional[int]):
@@ -82,6 +84,10 @@ class Event:
         self.kind = kind
         self.fields = fields
         self.trace_id = trace_id
+        #: The flight-recorder row, encoded by the first snapshot that
+        #: includes this event and kept while it stays in the snapshot
+        #: window (nothing mutates an event once emitted).
+        self.encoded_row: Optional[Encoded] = None
 
     def as_dict(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {"time_ns": self.time_ns, "kind": self.kind,

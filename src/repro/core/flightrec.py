@@ -24,6 +24,24 @@ schedules stable:
   every downstream IO cost — are identical whether telemetry is
   enabled or disabled.
 
+A snapshot costs what changed since the last one.  Each event and span
+row is encoded once, the first time a snapshot includes it, and the
+bytes are memoized on the ring object itself (``encoded_row``) while
+it stays in the snapshot window.  Only the SLO and counter rows,
+which read live state, are encoded on every flip.  Shedding runs on
+the cached row sizes — serde's list headers and length prefixes are
+fixed-width, so the record's size is a plain sum — and the record is
+then encoded once, the rows spliced in as :class:`repro.serde.Encoded`
+values, plus one small encode to size the fixed fields.  The bytes are
+identical to re-encoding the whole record after every shed step.
+
+Observability never fails a durable commit: if the snapshot cannot be
+built (a row builder raises, or ``pending`` alone overflows the
+budget), :func:`encode_snapshot` returns a *degraded* record instead —
+version, generation, time and the reason, no rows — still exactly
+:data:`FLIGHTREC_BYTES`, counted in ``sls.flightrec.degraded`` and
+announced by one ``flightrec.degraded`` event.
+
 Reconstruction (:func:`blackbox`, surfaced as ``sls blackbox``) reads
 the raw superblock slots of an unmounted or crashed store, follows the
 newest valid anchor, and rebuilds the timeline leading up to the
@@ -37,8 +55,10 @@ events, fault injections included, that never reached durability.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from itertools import islice
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from .. import serde
 from ..errors import CorruptRecord, ReproError, StoreError
 from . import events as events_mod
 from . import telemetry
@@ -50,6 +70,11 @@ MAX_EVENTS = 256
 MAX_SPANS = 128
 MAX_SLO_TAIL = 32
 FORMAT_VERSION = 1
+#: Row lists in shedding order: the oldest rows of the first non-empty
+#: list go first.
+SHED_ORDER = ("events", "spans", "slo", "counters")
+#: Bound on a degraded snapshot's reason text (characters).
+MAX_REASON = 256
 
 #: Synthetic kind closing a recovered timeline: the commit the
 #: snapshot rode to disk, proven durable by its anchoring superblock.
@@ -128,58 +153,138 @@ def _counter_rows(registry: Any) -> List[Dict[str, Any]]:
     return rows
 
 
-def build_snapshot(store: Any, pending: Optional[Dict[str, Any]] = None,
-                   generation: int = 0) -> Dict[str, Any]:
-    """The snapshot body (unpadded) as of the store's clock now."""
+def _fixed_fields(store: Any, pending: Optional[Dict[str, Any]],
+                  generation: int) -> Dict[str, Any]:
+    """Every snapshot field except the row lists (never shed)."""
     registry = telemetry.registry()
-    log = events_mod.log()
     return {
         "version": FORMAT_VERSION,
         "generation": generation,
         "time_ns": store.clock.now(),
         "pending": _clean(pending) if pending else None,
         "telemetry_enabled": bool(registry.enabled),
-        "events": [_event_row(e) for e in list(log)[-MAX_EVENTS:]],
-        "events_retained": len(log),
+        "events_retained": len(events_mod.log()),
         "events_dropped": registry.value("sls.telemetry.events_dropped"),
         "traces_dropped": registry.value("sls.telemetry.traces_dropped"),
-        "spans": [_span_row(s)
-                  for s in list(registry.spans)[-MAX_SPANS:]],
-        "counters": _counter_rows(registry),
-        "slo": _slo_rows(getattr(store, "_slo_tracker", None)),
     }
+
+
+def build_snapshot(store: Any, pending: Optional[Dict[str, Any]] = None,
+                   generation: int = 0) -> Dict[str, Any]:
+    """The snapshot body (unpadded) as of the store's clock now."""
+    registry = telemetry.registry()
+    body = _fixed_fields(store, pending, generation)
+    body["events"] = [_event_row(e)
+                      for e in list(events_mod.log())[-MAX_EVENTS:]]
+    body["spans"] = [_span_row(s) for s in list(registry.spans)[-MAX_SPANS:]]
+    body["counters"] = _counter_rows(registry)
+    body["slo"] = _slo_rows(getattr(store, "_slo_tracker", None))
+    return body
+
+
+def _memo_rows(ring: Any, count: int,
+               build: Callable[[Any], Dict[str, Any]]) -> List[serde.Encoded]:
+    """The encoded rows of a ring's newest ``count`` entries, oldest
+    first, encoding only entries new to this window.
+
+    An entry that has slid out of the window never returns (rings only
+    append), so the entries just behind it drop their bytes here
+    instead of holding them until the ring evicts them.
+    """
+    newest = reversed(ring)
+    window = list(islice(newest, count))
+    for item in newest:
+        if item.encoded_row is None:
+            break
+        item.encoded_row = None
+    rows: List[serde.Encoded] = []
+    for item in reversed(window):
+        row = item.encoded_row
+        if row is None:
+            row = item.encoded_row = serde.Encoded(build(item))
+        rows.append(row)
+    return rows
+
+
+def _room(body: Dict[str, Any]) -> int:
+    """Bytes left under :data:`FLIGHTREC_BYTES` for rows and padding
+    once ``body`` is encoded with an empty pad."""
+    from ..objstore import records
+
+    body["pad"] = b""
+    return FLIGHTREC_BYTES - len(records.encode(records.REC_FLIGHTREC, body))
+
+
+def _padded(body: Dict[str, Any], room: int) -> bytes:
+    from ..objstore import records
+
+    body["pad"] = b"\x00" * room
+    payload = records.encode(records.REC_FLIGHTREC, body)
+    assert len(payload) == FLIGHTREC_BYTES
+    return payload
+
+
+def _encode_rows(store: Any, pending: Optional[Dict[str, Any]],
+                 generation: int) -> bytes:
+    registry = telemetry.registry()
+    rows = {
+        "events": _memo_rows(events_mod.log().events, MAX_EVENTS,
+                             _event_row),
+        "spans": _memo_rows(registry.spans, MAX_SPANS, _span_row),
+        "slo": [serde.Encoded(row) for row in
+                _slo_rows(getattr(store, "_slo_tracker", None))],
+        "counters": [serde.Encoded(row) for row in _counter_rows(registry)],
+    }
+    body = _fixed_fields(store, pending, generation)
+    body.update({key: [] for key in SHED_ORDER})
+    # A list costs its fixed 9-byte header (already in the empty
+    # encoding) plus its rows' bytes, so the shed rule runs on sums.
+    room = _room(body) - sum(len(row.data) for key in SHED_ORDER
+                             for row in rows[key])
+    while room < 0:
+        for key in SHED_ORDER:
+            kept = rows[key]
+            if kept:
+                cut = len(kept) // 2 + 1
+                room += sum(len(row.data) for row in kept[:cut])
+                rows[key] = kept[cut:]
+                break
+        else:
+            raise StoreError(
+                f"flight recorder snapshot cannot fit {FLIGHTREC_BYTES} "
+                f"bytes even when empty ({FLIGHTREC_BYTES - room} bytes)")
+    body.update(rows)
+    return _padded(body, room)
+
+
+def _encode_degraded(store: Any, generation: int, exc: Exception) -> bytes:
+    """The row-less stand-in recorded when a snapshot cannot be built."""
+    reason = f"{type(exc).__name__}: {exc}"[:MAX_REASON]
+    now = store.clock.now()
+    telemetry.registry().counter("sls.flightrec.degraded").add(1)
+    events_mod.emit(now, events_mod.FLIGHTREC_DEGRADED,
+                    generation=generation, reason=reason)
+    body: Dict[str, Any] = {"version": FORMAT_VERSION,
+                            "generation": generation, "time_ns": now,
+                            "degraded": reason}
+    return _padded(body, _room(body))
 
 
 def encode_snapshot(store: Any, pending: Optional[Dict[str, Any]] = None,
                     generation: int = 0) -> bytes:
     """Encode a snapshot at exactly :data:`FLIGHTREC_BYTES`.
 
-    Over-budget content is shed oldest-first (events, then spans, then
-    SLO rows, then counters); the remainder is zero-padded.  The serde
-    layer's fixed 8-byte length prefixes make the padding exact.
+    Over-budget content is shed oldest-first: the first non-empty list
+    of events, spans, SLO rows and counters loses its oldest
+    ``len // 2 + 1`` rows until the record fits; the remainder is
+    zero-padded.  A snapshot that cannot be built degrades to a
+    row-less record of the same size rather than raising, so the
+    superblock flip it rides always lands.
     """
-    from ..objstore import records
-
-    body = build_snapshot(store, pending=pending, generation=generation)
-    while True:
-        body["pad"] = b""
-        blob = records.encode(records.REC_FLIGHTREC, body)
-        delta = FLIGHTREC_BYTES - len(blob)
-        if delta >= 0:
-            break
-        for key in ("events", "spans", "slo", "counters"):
-            rows = body[key]
-            if rows:
-                body[key] = rows[len(rows) // 2 + 1:]
-                break
-        else:
-            raise StoreError(
-                f"flight recorder snapshot cannot fit {FLIGHTREC_BYTES} "
-                f"bytes even when empty ({len(blob)} bytes)")
-    body["pad"] = b"\x00" * delta
-    payload = records.encode(records.REC_FLIGHTREC, body)
-    assert len(payload) == FLIGHTREC_BYTES
-    return payload
+    try:
+        return _encode_rows(store, pending, generation)
+    except Exception as exc:  # observability must not fail a commit
+        return _encode_degraded(store, generation, exc)
 
 
 def decode_snapshot(payload: bytes) -> Dict[str, Any]:

@@ -45,6 +45,8 @@ import itertools
 from collections import deque
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
+from ..serde import Encoded
+
 #: Canonical label encoding: sorted (key, value) tuples.
 LabelKey = Tuple[Tuple[str, object], ...]
 
@@ -131,7 +133,7 @@ class SpanRecord:
     """
 
     __slots__ = ("name", "labels", "start_ns", "end_ns",
-                 "trace_id", "span_id", "parent_id")
+                 "trace_id", "span_id", "parent_id", "encoded_row")
 
     def __init__(self, name: str, labels: Dict[str, object],
                  start_ns: int, end_ns: int):
@@ -142,6 +144,11 @@ class SpanRecord:
         self.trace_id: Optional[int] = None
         self.span_id: Optional[int] = None
         self.parent_id: Optional[int] = None
+        #: The flight-recorder row, encoded by the first snapshot that
+        #: includes this span and kept while it stays in the snapshot
+        #: window (trace ids are attached before the span enters the
+        #: ring, and nothing changes it after).
+        self.encoded_row: Optional[Encoded] = None
 
     @property
     def duration_ns(self) -> int:

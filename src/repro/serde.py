@@ -13,6 +13,10 @@ encoding for the value shapes kernel serializers actually produce:
 * ``dict`` with ``str`` keys, encoded in sorted key order so that equal
   dicts always produce identical bytes (important for dedup tests).
 
+An :class:`Encoded` value is a value already in TLV form: callers that
+emit the same rows into many records encode each row once and splice
+its bytes into every later :func:`dumps`.
+
 The format is self-describing and versioned via :data:`MAGIC`.
 """
 
@@ -47,6 +51,21 @@ def _encode_varbytes(out: bytearray, tag: int, payload: bytes) -> None:
     out += payload
 
 
+class Encoded:
+    """One value encoded once, spliced verbatim wherever it is dumped.
+
+    Decoding yields the plain value it was built from; the wrapper
+    exists only on the encode side.
+    """
+
+    __slots__ = ("data",)
+
+    def __init__(self, value: Any):
+        out = bytearray()
+        _encode_value(out, value)
+        self.data = bytes(out)
+
+
 def _encode_value(out: bytearray, value: Any) -> None:
     if value is None:
         out.append(_TAG_NONE)
@@ -79,6 +98,8 @@ def _encode_value(out: bytearray, value: Any) -> None:
                 raise TypeError(f"dict keys must be str, got {type(key).__name__}")
             _encode_value(out, key)
             _encode_value(out, value[key])
+    elif isinstance(value, Encoded):
+        out += value.data
     else:
         raise TypeError(f"cannot serialize {type(value).__name__}")
 
