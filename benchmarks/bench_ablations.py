@@ -139,9 +139,7 @@ def _extsync_delay(period_ms):
         sends += 1
         machine.run_for(1 * MSEC)
     # Stop the periodic timer, let the last flush land, seal leftovers.
-    if group.timer is not None:
-        group.timer.cancel()
-        group.timer = None
+    sls.fleet.evict(group)
     machine.loop.drain()
     if sls.extsync.pending_for(group):
         sls.checkpoint(group, sync=True)

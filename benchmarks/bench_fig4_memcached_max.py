@@ -12,10 +12,11 @@ from bench_utils import run_once
 
 from repro import Machine, load_aurora
 from repro.apps.memcached import MemcachedServer
-from repro.workloads.mutilate import Mutilate
 from repro.units import MSEC, SEC, fmt_time
 
 PERIODS_MS = [10, 20, 40, 60, 80, 100]
+#: Mutilate's load: 4 machines x 12 threads x 12 connections (§9.5).
+CONNECTIONS = 576
 DURATION = 600 * MSEC
 
 
@@ -25,8 +26,7 @@ def _run(period_ms):
     server = MemcachedServer(machine.kernel)
     if period_ms is not None:
         sls.attach(server.proc, period_ns=period_ms * MSEC)
-    agent = Mutilate(machine, server)
-    return agent.max_throughput(duration_ns=DURATION)
+    return server.run_closed_loop(machine, CONNECTIONS, DURATION)
 
 
 def run_experiment():

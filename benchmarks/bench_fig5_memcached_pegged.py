@@ -14,7 +14,6 @@ from bench_utils import run_once
 
 from repro import Machine, load_aurora
 from repro.apps.memcached import MemcachedServer
-from repro.workloads.mutilate import Mutilate
 from repro.units import MSEC, USEC, fmt_time
 
 PERIODS_MS = [10, 20, 40, 60, 80, 100]
@@ -28,8 +27,7 @@ def _run(period_ms):
     server = MemcachedServer(machine.kernel)
     if period_ms is not None:
         sls.attach(server.proc, period_ns=period_ms * MSEC)
-    agent = Mutilate(machine, server)
-    return agent.pegged(RATE, duration_ns=DURATION)
+    return server.run_open_loop(machine, RATE, DURATION)
 
 
 def run_experiment():

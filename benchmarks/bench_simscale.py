@@ -11,13 +11,13 @@ steady state.  The metric is wall-clock seconds per simulated second
 (= per 100 checkpoints).
 
 The columnar hot path (bitmap pmaps, run-based merges, slab
-collapses, batched extent staging) is measured against the
-``--baseline``-selectable legacy path (dict-of-PTE pmap + per-page
-merge/collapse), which is kept in-tree as the executable
-specification.  The legacy write-protect pass is O(address space) per
-checkpoint, so the baseline is only measured up to 256k pages; the
-1M-page / 10k-fd point exists to show the columnar path completes it
-at all.
+collapses, batched extent staging) is measured against a baseline run
+on the per-page legacy path (dict-of-PTE pmap, per-page
+merge/collapse, the pre-skip serializer walk), which the test oracle
+``tests/oracles/legacy_hot_path.py`` installs.  The legacy
+write-protect pass is O(address space) per checkpoint, so the baseline
+is only measured up to 256k pages; the 1M-page / 10k-fd point exists
+to show the columnar path completes it at all.
 
 Emits ``BENCH_simscale.json`` at the repo root::
 
@@ -31,18 +31,18 @@ fails (exit 1) if the columnar speedup regresses below the threshold.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import pathlib
 import sys
 import time
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))
 
 from repro import Machine, load_aurora
-from repro.core.serialize import CheckpointSerializer
 from repro.kernel.fs import O_CREAT, O_RDWR
-import repro.kernel.vm.vmspace as vmspace_mod
-from repro.kernel.vm.pmap import LegacyPmap, Pmap
 from repro.units import PAGE_SIZE
 
 HZ = 100
@@ -61,8 +61,7 @@ DIRTY_RUN_PAGES = 16
 #: exercises the incremental kernel-state path at scale.
 FD_DIRTY_FRACTION = 0.001
 
-JSON_PATH = pathlib.Path(__file__).resolve().parent.parent / \
-    "BENCH_simscale.json"
+JSON_PATH = ROOT / "BENCH_simscale.json"
 
 
 def run_config(npages: int, nfds: int, ticks: int,
@@ -70,14 +69,15 @@ def run_config(npages: int, nfds: int, ticks: int,
     """Drive ``ticks`` checkpoints over an ``npages``-page process with
     ``nfds`` open files; return wall-clock stats (setup and the first
     full checkpoint are excluded from the timed region)."""
-    original_pmap = vmspace_mod.Pmap
-    original_walk = CheckpointSerializer.legacy_walk
-    vmspace_mod.Pmap = LegacyPmap if legacy else Pmap
-    CheckpointSerializer.legacy_walk = legacy
-    try:
+    installer = contextlib.nullcontext()
+    if legacy:
+        # Imported only for baseline rows: a columnar run in a fresh
+        # process never loads test code.
+        from tests.oracles import legacy_hot_path
+        installer = legacy_hot_path.installed(walk=True)
+    with installer:
         machine = Machine()
         sls = load_aurora(machine)
-        sls.shadow.legacy_hot_path = legacy
         kernel = machine.kernel
         proc = kernel.spawn("simscale")
         addr = proc.vmspace.mmap(npages * PAGE_SIZE, name="heap")
@@ -118,9 +118,6 @@ def run_config(npages: int, nfds: int, ticks: int,
             "pages_flushed": group.stats["pages_flushed"],
             "dirty_runs": sls.shadow.stats["dirty_runs"],
         }
-    finally:
-        vmspace_mod.Pmap = original_pmap
-        CheckpointSerializer.legacy_walk = original_walk
 
 
 def run_sweep(sweep, ticks: int, with_baseline: bool) -> dict:

@@ -34,7 +34,6 @@ __version__ = "1.0.0"
 __all__ = [
     "Machine",
     "load_aurora",
-    "AuroraAPI",
     "ReproError",
     "KernelError",
     "SLSError",
@@ -42,14 +41,6 @@ __all__ = [
     "KiB", "MiB", "GiB", "PAGE_SIZE", "USEC", "MSEC", "SEC",
     "__version__",
 ]
-
-
-def __getattr__(name):
-    if name == "AuroraAPI":
-        from .core.api import AuroraAPI
-
-        return AuroraAPI
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def load_aurora(machine, checkpoint_period_ns=None):

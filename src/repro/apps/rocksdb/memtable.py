@@ -123,9 +123,6 @@ class MemTable:
             return True, None
         return True, value
 
-    def __len__(self) -> int:
-        return len(self._list)
-
     def entries(self) -> Iterator[Tuple[bytes, Optional[bytes]]]:
         """Sorted entries; tombstones yielded as (key, None)."""
         for key, value in self._list:

@@ -14,7 +14,6 @@ import struct
 import zlib
 from typing import List, Tuple
 
-from ...errors import CorruptRecord
 
 _HDR = struct.Struct("<II")  # crc32, length
 
@@ -89,11 +88,6 @@ class WALWriter:
             self.kernel.fsync(self.proc, self.fd)
             self.syncs += 1
             self._pending_in_group = 0
-
-    def size(self) -> int:
-        """Log bytes, including the not-yet-drained buffer."""
-        return self.proc.fdtable.get(self.fd).vnode.size \
-            + len(self._buffer)
 
     def replay(self) -> List[Tuple[bytes, bytes]]:
         """Replay the *durable* part of the log (a crash loses the

@@ -11,9 +11,9 @@ checkpoints.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
-from ..errors import InvalidArgument, NotAttached, SLSError
+from ..errors import InvalidArgument, NotAttached
 from ..objstore.journal import Journal
 from ..units import PAGE_SIZE, pages_of
 from . import costs
@@ -56,9 +56,7 @@ class AuroraAPI:
         """
         group = self.group
         group_id = group.group_id
-        if group.timer is not None:
-            group.timer.cancel()
-            group.timer = None
+        self.sls.fleet.evict(group)
         for proc in list(group.processes):
             group.remove_process(proc)
             proc.exit(0)

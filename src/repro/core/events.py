@@ -89,12 +89,6 @@ class Event:
         #: window (nothing mutates an event once emitted).
         self.encoded_row: Optional[Encoded] = None
 
-    def as_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {"time_ns": self.time_ns, "kind": self.kind,
-                               "trace_id": self.trace_id}
-        out.update(self.fields)
-        return out
-
     def __repr__(self) -> str:
         return f"Event({self.time_ns}ns {self.kind} {self.fields})"
 

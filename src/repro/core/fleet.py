@@ -34,6 +34,10 @@ replaces all of that with one control plane:
   cadence.  The paper's §7 invariant — a slow store bounds checkpoint
   *frequency*, never correctness — therefore holds per tenant.
 
+Whatever stops a group's periodic checkpoints (detach, suspend,
+``sls_restore``, migration) calls :meth:`FleetScheduler.evict`, which
+is a no-op for a group the fleet does not hold.
+
 Crash consistency: the scheduler reports its decision points
 (admission, EDF dispatch, backpressure widen) to the machine's
 :class:`~repro.core.faults.FaultPlan` as ``fleet`` boundaries, so the
@@ -55,7 +59,7 @@ from .pipeline import MODE_MEM
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .orchestrator import Orchestrator
 
-__all__ = ["ADMIT_REJECT", "ADMIT_WIDEN", "FleetScheduler", "FleetTimer"]
+__all__ = ["ADMIT_REJECT", "ADMIT_WIDEN", "FleetScheduler"]
 
 #: Admission policies: refuse an infeasible attach outright, or
 #: stretch the newcomer's period until it fits.
@@ -108,42 +112,14 @@ def van_der_corput(index: int) -> float:
     return frac
 
 
-class FleetTimer:
-    """The scheduling handle stored as ``group.timer``.
-
-    Pre-fleet code (suspend, restore, migration, benchmarks) cancels
-    a group's periodic chain via ``group.timer.cancel()``; this object
-    keeps that contract — cancelling it evicts the group from the EDF
-    queue.
-    """
-
-    __slots__ = ("_fleet", "_group", "cancelled")
-
-    def __init__(self, fleet: "FleetScheduler", group: ConsistencyGroup):
-        self._fleet = fleet
-        self._group = group
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        if self.cancelled:
-            return
-        self.cancelled = True
-        self._fleet._evict(self._group)
-
-    def __repr__(self) -> str:
-        state = "cancelled" if self.cancelled else "armed"
-        return f"FleetTimer(group={self._group.group_id}, {state})"
-
-
 class _Entry:
     """One admitted group's slot in the EDF queue."""
 
-    __slots__ = ("group", "deadline_ns", "cancelled")
+    __slots__ = ("group", "deadline_ns")
 
     def __init__(self, group: ConsistencyGroup):
         self.group = group
         self.deadline_ns = 0
-        self.cancelled = False
 
 
 class FleetScheduler:
@@ -180,7 +156,7 @@ class FleetScheduler:
 
     def admit(self, group: ConsistencyGroup,
               demand_bytes_per_sec: Optional[int] = None,
-              policy: str = ADMIT_WIDEN) -> FleetTimer:
+              policy: str = ADMIT_WIDEN) -> None:
         """Admission-test ``group`` and enter it into the EDF queue.
 
         ``demand_bytes_per_sec`` seeds the demand estimate (else the
@@ -219,8 +195,6 @@ class FleetScheduler:
                                    group=group.group_id).add(1)
         entry = _Entry(group)
         self._entries[group.group_id] = entry
-        timer = FleetTimer(self, group)
-        group.timer = timer
         period = self.effective_period(group)
         # Stagger: admission k takes phase vdc(k) of its own period,
         # with vdc(0) = 0 — the first tenant keeps the legacy
@@ -234,7 +208,6 @@ class FleetScheduler:
                     phase_ns=phase)
         self.telemetry.counter("sls.fleet.admitted").add(1)
         self._rearm()
-        return timer
 
     def _register_budgets(self, group: ConsistencyGroup) -> None:
         """Install the tenant's explicit SLO budgets, if any."""
@@ -267,11 +240,11 @@ class FleetScheduler:
             widen *= 2
         return widen
 
-    def _evict(self, group: ConsistencyGroup) -> None:
-        entry = self._entries.pop(group.group_id, None)
-        if entry is None:
+    def evict(self, group: ConsistencyGroup) -> None:
+        """Stop scheduling ``group`` (detach, suspend, ``sls_restore``,
+        migration).  A no-op for a group the fleet does not hold."""
+        if self._entries.pop(group.group_id, None) is None:
             return
-        entry.cancelled = True
         events.emit(self.clock.now(), events.FLEET_EVICT,
                     group=group.group_id, tenant=group.name)
         self._rearm()
@@ -311,14 +284,12 @@ class FleetScheduler:
     def aggregate_demand_bps(self) -> int:
         """Σ dirty_bytes/period over admitted, store-writing tenants."""
         return sum(self._demand_bps(entry.group)
-                   for entry in self._entries.values()
-                   if not entry.cancelled)
+                   for entry in self._entries.values())
 
     def aggregate_time_util(self) -> float:
         """Σ service/period over admitted tenants."""
         return sum(self._time_util(entry.group)
-                   for entry in self._entries.values()
-                   if not entry.cancelled)
+                   for entry in self._entries.values())
 
     # -- the EDF queue -----------------------------------------------------
 
@@ -333,8 +304,7 @@ class FleetScheduler:
         while self._heap:
             when, _, gid = self._heap[0]
             entry = self._entries.get(gid)
-            if entry is None or entry.cancelled \
-                    or entry.deadline_ns != when:
+            if entry is None or entry.deadline_ns != when:
                 heapq.heappop(self._heap)
                 continue
             return when
@@ -392,7 +362,7 @@ class FleetScheduler:
         if not group.attached or group.suspended:
             # The chain dies quietly, exactly like the pre-fleet
             # per-group timer did.
-            self._evict(group)
+            self.evict(group)
             return
         self._fault_boundary(group.group_id, "dispatch")
         start_ns = self.clock.now()
@@ -424,7 +394,7 @@ class FleetScheduler:
             self._dispatch_count += 1
             if self._dispatch_count % BACKPRESSURE_CHECK_EVERY == 0:
                 self._backpressure_check()
-        if (group.timer is not None and not group.timer.cancelled
+        if (self._entries.get(group.group_id) is entry
                 and group.attached and not group.suspended):
             self._set_deadline(entry, self.clock.now()
                                + self.effective_period(group))
@@ -541,7 +511,7 @@ class FleetScheduler:
             return
         for entry in self._entries.values():
             group = entry.group
-            if entry.cancelled or group.backpressure_factor <= 1:
+            if group.backpressure_factor <= 1:
                 continue
             halved = group.backpressure_factor // 2
             saved = group.backpressure_factor
@@ -564,8 +534,6 @@ class FleetScheduler:
         best: Optional[ConsistencyGroup] = None
         best_share = -1.0
         for entry in self._entries.values():
-            if entry.cancelled:
-                continue
             group = entry.group
             share = max(self._demand_bps(group)
                         / max(1, self.capacity_bps()),

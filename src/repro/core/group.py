@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
-from ..errors import AlreadyAttached, InvalidArgument
+from ..errors import AlreadyAttached
 from ..kernel.proc.pid import IDVirtualization
 from ..kernel.proc.process import Process
 from ..units import MSEC
@@ -71,8 +71,6 @@ class ConsistencyGroup:
         #: Members that exited since the previous checkpoint (their
         #: OIDs must stop being serialized).
         self.departed: Set[int] = set()
-        #: Periodic checkpointing handle (orchestrator-owned).
-        self.timer = None
         self.attached = True
         #: OID of the group's descriptor record in the store.
         self.desc_oid: Optional[int] = None

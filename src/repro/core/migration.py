@@ -10,12 +10,11 @@ which is the pre-copy primitive live migration is built from.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from .. import serde
 from ..errors import RestoreError, SLSError
 from ..hw.memory import Page
-from ..units import PAGE_SIZE
 
 STREAM_MAGIC = "aurora-stream-v1"
 
@@ -152,7 +151,5 @@ def migrate(src_sls, dst_sls, group, rounds: int = 2):
         group.remove_process(proc)
         proc.exit(0)
     src_sls.groups.pop(group_id, None)
-    if group.timer is not None:
-        group.timer.cancel()
-        group.timer = None
+    src_sls.fleet.evict(group)
     return dst_sls.restore(group_id)

@@ -137,9 +137,7 @@ class Orchestrator:
 
     def detach(self, group: ConsistencyGroup) -> None:
         """``sls detach``: stop persisting; history stays in the store."""
-        if group.timer is not None:
-            group.timer.cancel()
-            group.timer = None
+        self.fleet.evict(group)
         group.attached = False
         for proc in list(group.processes):
             group.remove_process(proc)
@@ -152,12 +150,6 @@ class Orchestrator:
         if proc.sls_group is None:
             raise NotAttached(f"{proc} is not attached")
         proc.sls_ephemeral = True
-
-    def group_of(self, proc) -> ConsistencyGroup:
-        """The consistency group a process belongs to (or raises)."""
-        if proc.sls_group is None:
-            raise NotAttached(f"{proc} is not attached")
-        return proc.sls_group
 
     # -- degraded-mode transitions (the fleet scheduler drives the
     # -- periodic ticks; see core/fleet.py) ----------------------------------------------
@@ -396,12 +388,10 @@ class Orchestrator:
     def suspend(self, group: ConsistencyGroup) -> int:
         """``sls suspend``: final checkpoint, then tear down the
         processes; the application lives on only in the store."""
-        # Stop the periodic timer first so no tick fires while we wait
+        # Leave the fleet first so no periodic tick fires while we wait
         # out an in-flight flush, then let that flush land before the
         # final full checkpoint opens its transaction.
-        if group.timer is not None:
-            group.timer.cancel()
-            group.timer = None
+        self.fleet.evict(group)
         if group.flush_in_progress:
             self._await_flush(group)
         result = self.checkpoint(group, name="suspend", full=True,

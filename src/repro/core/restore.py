@@ -15,10 +15,9 @@ lazy restores").
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..errors import RestoreError
-from ..hw.memory import Page
 from ..kernel.fs.file import OpenFile
 from ..kernel.ipc.devfs import DeviceFile
 from ..kernel.ipc.kqueue import KEvent, KQueue
@@ -27,7 +26,7 @@ from ..kernel.ipc.pty import Pty
 from ..kernel.ipc.shm import SharedMemorySegment
 from ..kernel.ipc.unixsock import ControlMessage, Message, UnixSocket
 from ..kernel.net.tcp import TCPSocket, TCP_ESTABLISHED, TCP_LISTEN
-from ..kernel.net.udp import Datagram, UDPSocket
+from ..kernel.net.udp import UDPSocket
 from ..kernel.proc.process import Process
 from ..kernel.proc.session import ProcessGroup, Session
 from ..kernel.proc.signals import SIGCHLD, SIGSLSRESTORE

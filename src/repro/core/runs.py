@@ -11,7 +11,7 @@ the page count.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Sequence, Tuple
+from typing import Iterable, List, Mapping, Tuple
 
 
 def build_runs(indexes: Iterable[int]) -> List[Tuple[int, int]]:
@@ -60,17 +60,4 @@ def expand_arith_runs(runs: Iterable[List[int]]) -> List[int]:
     out: List[int] = []
     for start, count, step in runs:
         out.extend(start + step * i for i in range(count))
-    return out
-
-
-def run_count(indexes: Iterable[int]) -> int:
-    """Number of contiguous runs without materializing them."""
-    return len(build_runs(indexes))
-
-
-def expand_runs(runs: Sequence[Tuple[int, int]]) -> List[int]:
-    """Flatten ``(start, count)`` runs back to individual indexes."""
-    out: List[int] = []
-    for start, count in runs:
-        out.extend(range(start, start + count))
     return out

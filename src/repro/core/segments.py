@@ -106,9 +106,6 @@ class ShardManifest:
         #: whose epoch trails their durably promised epoch.
         self.epoch = epoch
 
-    def __len__(self) -> int:
-        return len(self.segments)
-
     def __repr__(self) -> str:
         return (f"ShardManifest(group={self.group_id} "
                 f"ckpt={self.ckpt_id}: {len(self.segments)} segments, "

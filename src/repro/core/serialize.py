@@ -26,14 +26,14 @@ the dirty set, which is the point.
 from __future__ import annotations
 
 import functools
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, Optional, Set
 
 from ..errors import InvalidArgument, PermissionDenied
 from ..kernel.fs.file import (DTYPE_DEVICE, DTYPE_KQUEUE, DTYPE_PIPE,
                               DTYPE_PTS, DTYPE_SHM, DTYPE_SOCKET,
                               DTYPE_VNODE, OpenFile)
 from ..kernel.ipc.devfs import DEVICE_WHITELIST
-from ..objstore.oid import CLASS_FILE, CLASS_GROUP, CLASS_POSIX
+from ..objstore.oid import CLASS_FILE, CLASS_POSIX
 from . import costs, telemetry
 
 
@@ -55,13 +55,6 @@ def _traced(otype: str) -> Callable:
 
 class CheckpointSerializer:
     """Serializes one consistency group's OS state into a txn."""
-
-    #: Pre-refactor walk behavior, kept for the scale benchmark's
-    #: baseline mode: every file/vnode builds its state dict and
-    #: tracing span *before* the clean-skip decision — the per-object
-    #: wall-clock the columnar fast path removed.  Output is identical
-    #: either way; only real time differs.
-    legacy_walk = False
 
     def __init__(self, kernel: Any, group: Any, store: Any, txn: Any,
                  epoch_floor: Optional[int] = None,
@@ -265,18 +258,6 @@ class CheckpointSerializer:
         checkpointing.  The underlying object is always visited (it
         carries its own dirty epoch and must stay in the live set).
         """
-        if self.legacy_walk:
-            with telemetry.registry().span(self.kernel.clock,
-                                           "serialize.file",
-                                           group=self.group.group_id):
-                state = {
-                    "ftype": file.ftype,
-                    "flags": file.flags,
-                    "offset": file.offset,
-                    "sls_nosync": file.sls_nosync,
-                    "fobj_oid": self.serialize_fobj(file.fobj, file.ftype),
-                }
-                return self._put_once(file, "file", state)
         oid = self._oid(file)
         if oid in self._done:
             return oid
@@ -324,8 +305,7 @@ class CheckpointSerializer:
         if oid in self._done:
             return oid
         self._done.add(oid)
-        if not self.legacy_walk and self._skippable(vnode, CLASS_FILE,
-                                                    oid=oid):
+        if self._skippable(vnode, CLASS_FILE, oid=oid):
             self.records_skipped += 1
             return oid
         with telemetry.registry().span(self.kernel.clock, "serialize.vnode",

@@ -92,23 +92,6 @@ def merged_chain_pages(top: VMObject) -> Dict[int, Page]:
     return pages
 
 
-def merged_chain_pages_legacy(top: VMObject) -> Dict[int, Page]:
-    """The original top-down per-page ``setdefault`` merge.
-
-    Executable specification for the equivalence property suite and
-    the scale benchmark's pre-columnar baseline.
-    """
-    pages: Dict[int, Page] = {}
-    for obj in top.chain():
-        if obj is not top and obj.sls_oid not in (None, top.sls_oid):
-            break
-        if obj.backing_offset != 0:
-            raise InvalidArgument("system shadowing assumes offset-0 chains")
-        for pindex, page in obj.pages.items():
-            pages.setdefault(pindex, page)
-    return pages
-
-
 def chain_backing_oid(top: VMObject) -> Optional[int]:
     """OID of the tracked object this chain segment bottoms out on."""
     for obj in top.chain():
@@ -137,12 +120,6 @@ class ShadowEngine:
         if collapse_direction not in (REVERSE, FORWARD, NONE):
             raise InvalidArgument(f"bad direction {collapse_direction}")
         self.collapse_direction = collapse_direction
-        #: Benchmark baseline switch: route merges and collapses
-        #: through the per-page legacy implementations so the columnar
-        #: speedup can be measured against the original data path.
-        #: Simulated costs are identical either way; only wall-clock
-        #: differs.
-        self.legacy_hot_path = False
         self.stats = telemetry.StatsView(
             "sls.shadow",
             keys=("shadows_created", "collapses", "collapse_pages_moved",
@@ -200,10 +177,7 @@ class ShadowEngine:
     def _collapse_reverse(self, frozen: VMObject, child: VMObject) -> int:
         """Aurora's direction: frozen's few pages move *down* into the
         parent; cost ∝ dirty set."""
-        if self.legacy_hot_path:
-            parent, moved = frozen.collapse_into_parent_legacy()
-        else:
-            parent, moved = frozen.collapse_into_parent()
+        parent, moved = frozen.collapse_into_parent()
         # Repoint the child over the departed middle object, adopting
         # the reference collapse_into_parent() took for us.
         frozen.shadow_count -= 1
@@ -296,8 +270,7 @@ class ShadowEngine:
                 track.flushed = False
 
             if track.new or full:
-                dirty = merged_chain_pages_legacy(top) if self.legacy_hot_path \
-                    else merged_chain_pages(top)
+                dirty = merged_chain_pages(top)
             else:
                 dirty = dict(top.pages)
             record = object_record(top)

@@ -371,15 +371,6 @@ class SLOTracker:
         if mttr_ns > self.targets_for(group_id).repair_segment_ns:
             self._violate(group_id, "repair")
 
-    def degraded_time_ns(self, group_id: int,
-                         now_ns: Optional[int] = None) -> int:
-        """Cumulative degraded time, including any open spell."""
-        state = self._group(group_id)
-        total = state.degraded_total_ns
-        if state.degraded_since is not None and now_ns is not None:
-            total += now_ns - state.degraded_since
-        return total
-
     # -- reporting ---------------------------------------------------------------
 
     def fleet_fairness(self, group_ids: Optional[List[int]] = None,

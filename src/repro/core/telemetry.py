@@ -358,11 +358,6 @@ def set_enabled(flag: bool) -> None:
     _REGISTRY.enabled = flag
 
 
-def enabled() -> bool:
-    """Whether span/trace/event recording is currently on."""
-    return _REGISTRY.enabled
-
-
 def next_instance() -> int:
     """A fresh instance label value."""
     return next(_INSTANCES)

@@ -2,8 +2,8 @@
 
 Figures 4 and 5 drive Memcached over a 10 GbE LAN; what matters for
 the reproduction is the one-way latency floor and the bandwidth-driven
-serialization delay, both of which feed the client-observed latency
-model in :mod:`repro.workloads.mutilate`.
+serialization delay, which migration streams and the cluster's
+replication traffic are charged.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ crash-recovery property tests rely on.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from .clock import SimClock
 from ..core import costs, telemetry
@@ -374,8 +374,3 @@ class StripedArray:
     def bytes_written(self) -> int:
         """Total bytes written across the array."""
         return sum(device.bytes_written for device in self.devices)
-
-    @property
-    def bytes_read(self) -> int:
-        """Total bytes read across the array."""
-        return sum(device.bytes_read for device in self.devices)

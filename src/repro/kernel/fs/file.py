@@ -17,7 +17,7 @@ CRIU baseline must rediscover them by cross-referencing.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ...errors import BadFileDescriptor, InvalidArgument
 from ..kobject import KObject
@@ -61,14 +61,6 @@ class OpenFile(KObject):
         if self.ftype != DTYPE_VNODE or not isinstance(self.fobj, Vnode):
             raise InvalidArgument("not a vnode-backed file")
         return self.fobj
-
-    def readable(self) -> bool:
-        """True when the open mode permits reads."""
-        return (self.flags & 0x3) in (O_RDONLY, O_RDWR)
-
-    def writable(self) -> bool:
-        """True when the open mode permits writes."""
-        return (self.flags & 0x3) in (O_WRONLY, O_RDWR)
 
     def destroy(self) -> None:
         """Last reference: close the object; reclaim orphan vnodes."""
@@ -125,15 +117,6 @@ class FDTable(KObject):
         """``dup(2)``: a second slot sharing the same OpenFile."""
         return self.install(self.get(fd))
 
-    def dup2(self, fd: int, target: int) -> int:
-        """dup2(2): duplicate onto a specific slot, closing any victim."""
-        file = self.get(fd)
-        if target in self._fds and self._fds[target] is not file:
-            self.close(target)
-        if target not in self._fds:
-            self.install(file, fd=target)
-        return target
-
     def close(self, fd: int) -> None:
         """Remove one fd slot, dropping its OpenFile reference."""
         file = self._fds.pop(fd, None)
@@ -155,24 +138,6 @@ class FDTable(KObject):
             child._fds[fd] = file
         return child
 
-    def fds(self) -> List[int]:
-        """The occupied descriptor numbers, sorted."""
-        return sorted(self._fds)
-
-    def files(self) -> List[OpenFile]:
-        """The OpenFiles in fd order (duplicates included)."""
-        return [self._fds[fd] for fd in sorted(self._fds)]
-
     def items(self):
         """(fd, OpenFile) pairs in fd order."""
         return sorted(self._fds.items())
-
-    def __len__(self) -> int:
-        return len(self._fds)
-
-    def __contains__(self, fd: int) -> bool:
-        return fd in self._fds
-
-    def destroy(self) -> None:
-        """Last reference: close the object; reclaim orphan vnodes."""
-        self.close_all()

@@ -61,10 +61,6 @@ class Filesystem:
         self._vnodes.pop(vnode.inode, None)
         vnode.unref()
 
-    def all_vnodes(self):
-        """Every live vnode (checkpoint walks)."""
-        return list(self._vnodes.values())
-
     # -- hooks (cost charging / persistence) -------------------------------------
 
     def on_create(self, vnode: Vnode) -> None:
@@ -89,10 +85,3 @@ class MemFS(Filesystem):
     """
 
     fs_type = "memfs"
-
-    def crash_wipe(self) -> None:
-        """A reboot empties a memory filesystem."""
-        self._vnodes.clear()
-        self._next_inode = 2
-        self.root = self._make_vnode(VDIR, inode=1)
-        self.root.link_count = 1

@@ -110,12 +110,6 @@ class Vnode(KObject):
         self.size = length
         self.mark_dirty()
 
-    def resident_bytes(self) -> int:
-        """Bytes of file data currently in memory."""
-        if self.vmobject is None:
-            return 0
-        return self.vmobject.resident_count() * PAGE_SIZE
-
     # -- directory operations ---------------------------------------------------
 
     def _require_dir(self) -> None:

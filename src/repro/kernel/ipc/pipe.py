@@ -59,10 +59,6 @@ class Pipe(KObject):
         self.write_open = False
         self.mark_dirty()
 
-    def pending(self) -> int:
-        """Bytes currently buffered."""
-        return len(self.buffer)
-
     def __repr__(self) -> str:
         return (f"Pipe(kid={self.kid}, {len(self.buffer)}/{self.capacity}B, "
                 f"r={'o' if self.read_open else 'c'}"

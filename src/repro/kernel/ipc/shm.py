@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ...errors import FileExists, InvalidArgument, NoSuchFile
+from ...errors import InvalidArgument, NoSuchFile
 from ...units import pages_of
 from ..kobject import KObject
 from ..vm.vmobject import ANONYMOUS, VMObject
@@ -95,10 +95,6 @@ class PosixShmRegistry:
         """Registered POSIX shm names, sorted."""
         return sorted(self._segments)
 
-    def segments(self):
-        """Every live segment in this namespace."""
-        return list(self._segments.values())
-
 
 class SysVShmRegistry:
     """The global System V namespace: a fixed table of slots.
@@ -147,7 +143,3 @@ class SysVShmRegistry:
             raise NoSuchFile(f"shmid {shmid}")
         self._by_key.pop(segment.key, None)
         segment.unref()
-
-    def segments(self):
-        """Every live segment in this namespace."""
-        return [seg for seg in self._slots.values() if seg is not None]

@@ -22,7 +22,7 @@ from ..core import costs
 from ..errors import BadFileDescriptor, InvalidArgument, MachineCrashed
 from ..units import PAGE_SIZE, pages_of
 from .aio import AIOQueue
-from .fs.file import (FDTable, OpenFile, O_APPEND, O_CREAT, O_RDONLY, O_RDWR,
+from .fs.file import (OpenFile, O_APPEND, O_CREAT, O_RDONLY, O_RDWR,
                       O_TRUNC, O_WRONLY, DTYPE_DEVICE, DTYPE_KQUEUE,
                       DTYPE_PIPE, DTYPE_PTS, DTYPE_SHM, DTYPE_SOCKET,
                       DTYPE_VNODE)
@@ -40,7 +40,7 @@ from .net.udp import UDPSocket
 from .proc.pid import PIDAllocator
 from .proc.process import Process
 from .swap import PageoutDaemon
-from .vm.vmmap import INHERIT_SHARE, PROT_READ, PROT_WRITE
+from .vm.vmmap import INHERIT_SHARE, PROT_READ
 from ..hw.cpu import CPUSet
 from ..hw.memory import PhysicalMemory
 
@@ -324,16 +324,6 @@ class Kernel:
         return rfd, wfd
 
     # -- UNIX sockets -----------------------------------------------------------------------
-
-    def unix_socket(self, proc: Process, sock_type: str = "stream") -> int:
-        """socket(AF_UNIX): a fresh UNIX domain socket fd."""
-        self._charge_syscall()
-        sock = UnixSocket(self, sock_type)
-        file = OpenFile(self, sock, DTYPE_SOCKET)
-        sock.unref()
-        fd = proc.fdtable.install(file)
-        file.unref()
-        return fd
 
     def socketpair(self, proc: Process) -> Tuple[int, int]:
         """socketpair(2): two connected UNIX sockets."""

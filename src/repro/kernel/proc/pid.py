@@ -11,7 +11,7 @@ group, so two restored applications can both believe they are PID 100.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict, Set
 
 from ...errors import InvalidArgument
 
@@ -50,10 +50,6 @@ class PIDAllocator:
         """Return an ID to the pool."""
         self._in_use.discard(pid)
 
-    def in_use(self, pid: int) -> bool:
-        """True while the ID is allocated or reserved."""
-        return pid in self._in_use
-
 
 class IDVirtualization:
     """Local (checkpoint-time) ↔ global (runtime) ID mapping.
@@ -75,12 +71,6 @@ class IDVirtualization:
         self._local_to_global[local_id] = global_id
         self._global_to_local[global_id] = local_id
 
-    def unbind_global(self, global_id: int) -> None:
-        """Forget the pair addressed by its global id."""
-        local = self._global_to_local.pop(global_id, None)
-        if local is not None:
-            self._local_to_global.pop(local, None)
-
     def to_global(self, local_id: int) -> int:
         """Local -> global (identity when unbound)."""
         return self._local_to_global.get(local_id, local_id)
@@ -88,6 +78,3 @@ class IDVirtualization:
     def to_local(self, global_id: int) -> int:
         """Global -> local (identity when unbound)."""
         return self._global_to_local.get(global_id, global_id)
-
-    def __len__(self) -> int:
-        return len(self._local_to_global)

@@ -9,7 +9,7 @@ descriptions, inherited group/session membership.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ...errors import InvalidArgument, NoSuchProcess
 from ..kobject import KObject
@@ -101,13 +101,6 @@ class Process(KObject):
             return
         self.main_thread.signals.post(signo)
         self.mark_dirty()
-
-    def dispatch_signals(self) -> List[int]:
-        """Run handlers for every deliverable pending signal."""
-        delivered = []
-        for thread in self.threads:
-            delivered.extend(thread.signals.dispatch())
-        return delivered
 
     # -- fork / exit / wait -----------------------------------------------------------
 

@@ -10,7 +10,7 @@ specific signal handler").
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Set
 
 SIGINT = 2
 SIGKILL = 9
@@ -24,17 +24,6 @@ SIGCONT = 19
 SIGSLSRESTORE = 33
 
 UNMASKABLE = frozenset({SIGKILL, SIGSTOP})
-
-_NAMES = {
-    SIGINT: "SIGINT", SIGKILL: "SIGKILL", SIGUSR1: "SIGUSR1",
-    SIGUSR2: "SIGUSR2", SIGTERM: "SIGTERM", SIGCHLD: "SIGCHLD",
-    SIGSTOP: "SIGSTOP", SIGCONT: "SIGCONT", SIGSLSRESTORE: "SIGSLSRESTORE",
-}
-
-
-def signame(signo: int) -> str:
-    """Human-readable name of a signal number."""
-    return _NAMES.get(signo, f"SIG{signo}")
 
 
 class SignalState:
@@ -57,10 +46,6 @@ class SignalState:
     def post(self, signo: int) -> None:
         """Queue a pending signal."""
         self.pending.append(signo)
-
-    def deliverable(self) -> List[int]:
-        """Pending signals not currently masked."""
-        return [s for s in self.pending if s not in self.mask]
 
     def dispatch(self) -> List[int]:
         """Deliver every unmasked pending signal; returns what ran."""

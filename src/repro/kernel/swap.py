@@ -19,11 +19,10 @@ the same page-in path.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Tuple
 
 from ..core import costs
 from ..errors import InvalidArgument
-from ..units import PAGE_SIZE
 from .vm.vmobject import VMObject
 
 #: madvise hints the policy understands.
@@ -51,15 +50,6 @@ class PageoutDaemon:
         self.pageins = 0
 
     # -- bookkeeping --------------------------------------------------------------
-
-    def mark_clean(self, vmobject: VMObject, pindex: int,
-                   locator: object) -> None:
-        """Record that a page's current content is persisted (the
-        flush path normally stamps pages itself; this is the explicit
-        form for tests and recovery paths)."""
-        page = vmobject.pages.get(pindex)
-        if page is not None:
-            page.clean_locator = locator
 
     def madvise(self, vmobject: VMObject, pindex: int, hint: str) -> None:
         """Record an eviction-policy hint for one page."""

@@ -66,12 +66,6 @@ class VMMapEntry:
         self.vmobject = new_object
         old.unref()
 
-    def adopt_object_ref(self, new_object: VMObject) -> None:
-        """Repoint, *adopting* a reference the caller already holds."""
-        old = self.vmobject
-        self.vmobject = new_object
-        old.unref()
-
     def release(self) -> None:
         """Drop the entry's object reference (unmap)."""
         self.vmobject.unref()

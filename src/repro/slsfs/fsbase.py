@@ -11,10 +11,8 @@ the 10 ms checkpoint cadence of the object store backing it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict
 
-from ..core import costs
-from ..errors import NoSuchFile
 from ..hw.nvme import StripedArray, synthetic_payload
 from ..units import KiB, STRIPE_SIZE
 
@@ -76,13 +74,6 @@ class BenchFilesystem:
         self.files[name] = file
         self.stats["creates"] += 1
         return file
-
-    def lookup(self, name: str) -> BenchFile:
-        """Find an existing file handle by name."""
-        try:
-            return self.files[name]
-        except KeyError:
-            raise NoSuchFile(name)
 
     def write(self, file: BenchFile, offset: int, nbytes: int,
               seed: int = 0) -> None:

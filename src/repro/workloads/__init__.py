@@ -1,9 +1,9 @@
 """Workload generators driving the evaluation applications:
-FileBench personalities (Fig. 3), a Mutilate-style Memcached load
-generator (Figs. 4–5), and the Prefix_dist RocksDB mix (Fig. 6)."""
+FileBench personalities (Fig. 3) and the Prefix_dist RocksDB mix
+(Fig. 6).  Memcached's Mutilate-style load modes (Figs. 4–5) live on
+:class:`~repro.apps.memcached.MemcachedServer` itself."""
 
 from .filebench import FileBench
-from .mutilate import Mutilate
 from .prefix_dist import PrefixDistWorkload
 
-__all__ = ["FileBench", "Mutilate", "PrefixDistWorkload"]
+__all__ = ["FileBench", "PrefixDistWorkload"]

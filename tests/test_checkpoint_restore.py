@@ -326,6 +326,24 @@ def test_pty_restored(setup):
     assert result.root.fdtable.get(sfd).fobj is restored
 
 
+def test_device_fds_restored(setup):
+    """Whitelisted device fds are checkpointed by name and recreated
+    at the same fd numbers with the same read/write behaviour."""
+    machine, sls, proc, group = setup
+    null_fd = machine.kernel.open_device(proc, "null")
+    zero_fd = machine.kernel.open_device(proc, "zero")
+    _sls2, result = crash_and_restore(machine, sls, group)
+    root = result.root
+    kernel = machine.kernel  # the rebooted kernel
+    assert root.kernel is kernel
+    assert root.fdtable.get(null_fd).fobj.name == "null"
+    assert root.fdtable.get(zero_fd).fobj.name == "zero"
+    assert kernel.read(root, null_fd, 8) == b""
+    assert kernel.read(root, zero_fd, 8) == b"\x00" * 8
+    assert kernel.write(root, null_fd, b"sink") == 4
+    assert kernel.write(root, zero_fd, b"sink") == 4
+
+
 def test_posix_shm_restored_shared(setup):
     machine, sls, proc, group = setup
     kernel = machine.kernel

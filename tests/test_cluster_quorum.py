@@ -30,7 +30,7 @@ from repro import Machine, load_aurora
 from repro.core import events, telemetry
 from repro.core.cluster import SLSCluster
 from repro.core.faults import FaultPlan
-from repro.units import PAGE_SIZE
+from repro.units import MSEC, PAGE_SIZE
 
 NODES = 5
 AZS = 3
@@ -236,3 +236,38 @@ def test_healed_legs_each_report_their_own_link_up():
                               group=fx.group.group_id,
                               node=node_id) == (node_id < 3)
     telemetry.reset()
+
+
+def test_installed_cluster_pumps_periodic_commits_on_its_cadence():
+    """``install()`` alone replicates a periodic group: async commits
+    never fire the commit hook, so the cadence timer must pump every
+    one of them to a write quorum; ``stop()`` cancels that timer."""
+    machine = Machine()
+    sls = load_aurora(machine)
+    proc = machine.kernel.spawn("svc")
+    addr = proc.vmspace.mmap(4 * PAGE_SIZE, name="heap")
+    period = 10 * MSEC
+    group = sls.attach(proc, name="svc", period_ns=period)
+    cluster = SLSCluster(sls, group, nodes=6, azs=3)
+    cluster.install()
+    # Checkpoints fire at 1..5 periods, pumps at 1.5..5.5 periods.
+    for step in range(5):
+        proc.vmspace.write(addr, b"step-%d" % step)
+        machine.run_for(period)
+    machine.run_for(3 * period // 4)
+    chain = sls.store.checkpoints_for(group.group_id)
+    assert len(chain) == 5
+    assert cluster.stats["pumps"] == 5
+    for info in chain:
+        assert len(cluster.acks[info.ckpt_id]) >= cluster.write_quorum
+    assert cluster.durable == chain[-1].ckpt_id
+    cluster.stop()
+    # Neither the commit hook nor the timer pumps any more ...
+    proc.vmspace.write(addr, b"after")
+    sls.checkpoint(group, sync=True)
+    assert cluster.stats["pumps"] == 5
+    assert cluster.durable == chain[-1].ckpt_id
+    # ... and with the group detached nothing is left on the loop: the
+    # pump timer was cancelled, not left to fire and lapse.
+    sls.detach(group)
+    assert machine.loop.next_deadline() is None

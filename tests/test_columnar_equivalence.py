@@ -1,12 +1,12 @@
 """Observational equivalence of the columnar hot path vs the legacy one.
 
 The bitmap :class:`Pmap`, the run-based shadow merge and the slab
-collapse replaced per-page dict implementations for scale; the legacy
-implementations are kept in-tree as executable specifications.  These
-properties drive both sides with identical randomized inputs and
-assert identical observable state: mapped/writable/dirty sets,
-downgrade counts, merge results, frame accounting and restored memory
-contents.
+collapse replaced per-page dict implementations for scale; the
+per-page originals live in the test oracle
+:mod:`tests.oracles.legacy_hot_path`.  These properties drive both
+sides with identical randomized inputs and assert identical observable
+state: mapped/writable/dirty sets, downgrade counts, merge results,
+frame accounting, restored memory contents and simulated time.
 """
 
 from __future__ import annotations
@@ -18,11 +18,12 @@ from hypothesis import strategies as st
 from repro import Machine, load_aurora
 from repro.errors import SegmentationFault
 from repro.hw.memory import Page
-from repro.kernel.vm.pmap import LegacyPmap, Pmap, iter_bit_runs
+from repro.kernel.vm.pmap import Pmap, iter_bit_runs
 from repro.kernel.vm.vmobject import VMObject
-from repro.core.shadowing import (merged_chain_pages,
-                                  merged_chain_pages_legacy)
+from repro.core.shadowing import merged_chain_pages
 from repro.units import PAGE_SIZE
+from tests.oracles import legacy_hot_path as oracle
+from tests.oracles.legacy_hot_path import LegacyPmap
 
 PAGES = 96  # page-number space the random ops draw from
 
@@ -181,7 +182,7 @@ def test_merged_chain_pages_equivalence(layers, foreign_base):
     kernel = Machine().kernel
     top = _build_chain(kernel, layers, foreign_base)
     bulk = merged_chain_pages(top)
-    legacy = merged_chain_pages_legacy(top)
+    legacy = oracle.merged_chain_pages(top)
     # Identical keys AND identical page identity (newest wins).
     assert bulk.keys() == legacy.keys()
     for pindex in bulk:
@@ -208,7 +209,7 @@ def test_collapse_into_parent_equivalence(parent_pages, shadow_pages):
         parent.frozen = False
         shadow.frozen = False
         if legacy:
-            merged_parent, moved = shadow.collapse_into_parent_legacy()
+            merged_parent, moved = oracle.collapse_into_parent(shadow)
         else:
             merged_parent, moved = shadow.collapse_into_parent()
         results.append({
@@ -225,41 +226,40 @@ def test_collapse_into_parent_equivalence(parent_pages, shadow_pages):
 # -- end-to-end: columnar and legacy paths restore identical state ---------------
 
 
-def _run_workload(legacy_hot_path):
+def _run_workload():
     machine = Machine()
     sls = load_aurora(machine)
-    sls.shadow.legacy_hot_path = legacy_hot_path
-    import repro.kernel.vm.vmspace as vmspace_mod
-    from repro.kernel.vm.pmap import LegacyPmap as _LP, Pmap as _P
-    original = vmspace_mod.Pmap
-    vmspace_mod.Pmap = _LP if legacy_hot_path else _P
-    try:
-        proc = machine.kernel.spawn("app")
-        group = sls.attach(proc, periodic=False)
-        addr = proc.vmspace.mmap(64 * PAGE_SIZE, name="heap")
-        for round_no in range(4):
-            proc.vmspace.write(addr + round_no * PAGE_SIZE,
-                               f"round-{round_no}".encode())
-            proc.vmspace.touch(addr + 32 * PAGE_SIZE, 8,
-                               seed=100 + round_no)
-            sls.checkpoint(group, sync=True)
-        gid = group.group_id
-        machine.crash()
-        machine.boot()
-        sls2 = load_aurora(machine)
-        result = sls2.restore(gid, periodic=False)
-        space = result.root.vmspace
-        image = space.read(addr, 40 * PAGE_SIZE)
-        stats = {
-            "downgrades": None,  # pmap instance did not survive crash
-            "image": image,
-        }
-        return stats
-    finally:
-        vmspace_mod.Pmap = original
+    proc = machine.kernel.spawn("app")
+    group = sls.attach(proc, periodic=False)
+    addr = proc.vmspace.mmap(64 * PAGE_SIZE, name="heap")
+    for round_no in range(4):
+        proc.vmspace.write(addr + round_no * PAGE_SIZE,
+                           f"round-{round_no}".encode())
+        proc.vmspace.touch(addr + 32 * PAGE_SIZE, 8,
+                           seed=100 + round_no)
+        sls.checkpoint(group, sync=True)
+    checkpoint_ns = machine.clock.now()
+    gid = group.group_id
+    machine.crash()
+    machine.boot()
+    sls2 = load_aurora(machine)
+    result = sls2.restore(gid, periodic=False)
+    space = result.root.vmspace
+    return {
+        "image": space.read(addr, 40 * PAGE_SIZE),
+        "checkpoint_ns": checkpoint_ns,
+        "restored_ns": machine.clock.now(),
+        "pmap": type(space.pmap),
+    }
 
 
 def test_columnar_and_legacy_restore_identical_state():
-    columnar = _run_workload(legacy_hot_path=False)
-    legacy = _run_workload(legacy_hot_path=True)
-    assert columnar == legacy
+    columnar = _run_workload()
+    with oracle.installed(walk=False):
+        legacy = _run_workload()
+    assert (columnar["pmap"], legacy["pmap"]) == (Pmap, LegacyPmap)
+    # Identical restored memory, and identical simulated time: the cost
+    # model charges per page and per PTE, not per data-structure op.
+    assert columnar["image"] == legacy["image"]
+    assert ((columnar["checkpoint_ns"], columnar["restored_ns"])
+            == (legacy["checkpoint_ns"], legacy["restored_ns"]))

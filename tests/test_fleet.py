@@ -83,21 +83,11 @@ def test_stagger_is_low_discrepancy_and_first_tenant_unshifted():
 def test_cancelling_last_timer_disarms_the_loop(setup):
     machine, sls = setup
     _p, group, _a = make_tenant(machine, sls, "only")
-    group.timer.cancel()
+    sls.fleet.evict(group)
     assert sls.fleet.next_deadline() is None
     # The loop drains: nothing periodic survives the eviction.
     machine.loop.drain()
     assert events.log().matching(events.FLEET_EVICT)
-
-
-def test_fleet_timer_compat_handle(setup):
-    """group.timer keeps the legacy cancel()/cancelled surface."""
-    machine, sls = setup
-    _p, group, _a = make_tenant(machine, sls, "compat")
-    assert group.timer is not None
-    assert not group.timer.cancelled
-    group.timer.cancel()
-    assert group.timer.cancelled
 
 
 # -- admission control -------------------------------------------------------
@@ -221,7 +211,7 @@ def test_detach_with_flush_in_flight_completes_harmlessly(setup):
     machine.run_for(11 * MSEC)
     assert group.flush_in_progress
     sls.detach(group)
-    assert not group.attached and group.timer is None
+    assert not group.attached and sls.fleet.report() == []
     slo_state = sls.slo.groups.get(group.group_id)
     samples_before = len(slo_state.rpo_lag.values) if slo_state else 0
     machine.loop.drain()

@@ -169,8 +169,9 @@ def test_barrier_survives_periodic_timer(setup):
     ckpt_id = sls.barrier(group)
     assert ckpt_id == group.last_complete_id
     assert not group.flush_in_progress
-    # The periodic timer is still armed (barrier didn't consume it).
-    assert group.timer is not None and not group.timer.cancelled
+    # The group is still scheduled (barrier didn't consume its tick).
+    assert [row["group"] for row in sls.fleet.report()] == [group.group_id]
+    assert sls.fleet.next_deadline() is not None
 
 
 def test_sync_checkpoint_waits_out_other_checkpoint(setup):
@@ -211,7 +212,7 @@ def test_tick_after_detach_is_inert(setup):
     count = group.stats["checkpoints"]
     assert count >= 2
     sls.detach(group)
-    assert group.timer is None  # timer cancelled at detach
+    assert sls.fleet.report() == []  # evicted from the fleet at detach
     machine.run_for(50 * MSEC)
     assert group.stats["checkpoints"] == count
     # Nothing rescheduled: the loop goes idle.
